@@ -47,7 +47,7 @@ object ClientFilter {
   /** Bit-vectors for one chunk: predicate id → one bit per line. */
   def chunkBits(lines: IndexedSeq[String], selected: Seq[(Int, Clause)]): Map[Int, BitVec] =
     selected.map { case (id, clause) =>
-      id -> BitVec.fromBooleans(lines.map(matchClause(_, clause)))
+      id -> BitVec.tabulate(lines.size)(i => matchClause(lines(i), clause))
     }.toMap
 
   /** Result of client prefiltering over a sequence of chunks. */

@@ -2,6 +2,8 @@ package repro.core
 
 import java.io.{DataInputStream, DataOutputStream}
 
+import scala.collection.immutable.ArraySeq
+
 /** Dense fixed-length bit-vector, one bit per JSON object in a chunk.
   *
   * This is the wire/storage format of CIAO's client annotations: each pushed
@@ -41,16 +43,27 @@ final class BitVec private (val nBits: Int, private val words: Array[Long]) {
   }
 
   /** Indices of set bits, ascending. */
-  def setBits: IndexedSeq[Int] = (0 until nBits).filter(get)
+  def setBits: IndexedSeq[Int] = {
+    val out = new Array[Int](cardinality)
+    var k = 0; var i = 0
+    while (i < words.length) {
+      var w = words(i)
+      while (w != 0L) {
+        out(k) = (i << 6) + java.lang.Long.numberOfTrailingZeros(w)
+        k += 1
+        w &= w - 1 // clear the lowest set bit
+      }
+      i += 1
+    }
+    ArraySeq.unsafeWrapArray(out)
+  }
 
   /** Keep only the bits at `positions` (ascending), producing a compacted
     * vector of length `positions.size`. Used when partial loading drops
     * filtered-out rows: sidecar bit-vectors are re-indexed to loaded rows.
     */
   def compact(positions: IndexedSeq[Int]): BitVec =
-    BitVec.fromBooleans(positions.map(get))
-
-  def toBooleans: IndexedSeq[Boolean] = (0 until nBits).map(get)
+    BitVec.tabulate(positions.size)(k => get(positions(k)))
 
   override def equals(o: Any): Boolean = o match {
     case b: BitVec => b.nBits == nBits && java.util.Arrays.equals(b.words, words)
@@ -106,11 +119,12 @@ object BitVec {
     new BitVec(nBits, w)
   }
 
-  def fromBooleans(bs: Seq[Boolean]): BitVec = {
-    val w = new Array[Long]((bs.size + 63) >> 6)
+  /** Vector of `nBits` bits where bit i is `f(i)`, filled word by word. */
+  def tabulate(nBits: Int)(f: Int => Boolean): BitVec = {
+    val w = new Array[Long]((nBits + 63) >> 6)
     var i = 0
-    bs.foreach { b => if (b) w(i >> 6) |= 1L << (i & 63); i += 1 }
-    new BitVec(bs.size, w)
+    while (i < nBits) { if (f(i)) w(i >> 6) |= 1L << (i & 63); i += 1 }
+    new BitVec(nBits, w)
   }
 
   private[core] def fromWords(nBits: Int, words: Array[Long]): BitVec = {

@@ -142,31 +142,38 @@ class CiaoReaderFactory extends PartitionReaderFactory {
 }
 
 /** Reads one Parquet chunk row by row, skipping rows whose combined
-  * (ANDed) bit across the scan's matched predicates is 0.
+  * (ANDed) bit across the scan's matched predicates is 0. A sidecar whose
+  * length differs from the chunk's row count is a store corruption and
+  * fails the scan rather than dropping or inventing rows.
   */
 class ParquetChunkReader(p: ParquetChunkPartition) extends PartitionReader[InternalRow] {
   private val rows = new ParquetIO.ChunkRows(p.parquetPath, p.tableSchema)
-  private val combined: Option[IndexedSeq[Boolean]] =
+  private val combined: Option[BitVec] =
     if (p.skipIds.isEmpty) None
     else p.bitsPath.map { bp =>
       val sidecar = ChunkStore.readBits(bp)
       val nRows   = sidecar.headOption.map(_._2.nBits).getOrElse(0)
-      DataSkipping.combinedBits(sidecar, p.skipIds.toSeq, nRows).toBooleans
+      DataSkipping.combinedBits(sidecar, p.skipIds.toSeq, nRows)
     }
 
   private var rowIdx  = -1
   private var current: Array[Any] = _
+
+  private def mismatch(rowCount: String): Nothing =
+    throw new IllegalStateException(
+      s"sidecar ${p.bitsPath.getOrElse("")} has ${combined.fold(0)(_.nBits)} bits but ${p.parquetPath} has $rowCount rows")
 
   override def next(): Boolean = {
     while (rows.hasNext) {
       current = rows.next()
       rowIdx += 1
       val keep = combined match {
-        case Some(bits) => rowIdx < bits.size && bits(rowIdx)
+        case Some(bits) => if (rowIdx < bits.nBits) bits.get(rowIdx) else mismatch(s"at least ${rowIdx + 1}")
         case None       => true
       }
       if (keep) return true
     }
+    if (combined.exists(_.nBits != rowIdx + 1)) mismatch(s"${rowIdx + 1}")
     false
   }
 

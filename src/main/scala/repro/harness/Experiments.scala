@@ -1,11 +1,13 @@
 package repro.harness
 
+import java.io.File
 import java.nio.file.Files
 import java.util.Random
 
 import org.apache.spark.sql.SparkSession
 
 import repro.core._
+import repro.server.{ChunkStore, PartialLoader}
 import repro.workload._
 
 /** Experiment drivers, one per evaluation artifact of the paper (§VII).
@@ -23,7 +25,11 @@ object Experiments {
     */
   val ChunkSize: Int = 4000
 
-  private def tmp(prefix: String): String = Files.createTempDirectory(prefix).toString
+  /** Run `f` on a fresh temporary store directory, deleted once `f` returns. */
+  private def withStore[A](prefix: String)(f: String => A): A = {
+    val dir = Files.createTempDirectory(prefix).toString
+    try f(dir) finally ChunkStore.deleteRecursively(new File(dir))
+  }
 
   /** Warm up the load path (JSON parse, Parquet writer classloading) and the
     * Spark query path before any timed run, so the first measured baseline
@@ -32,9 +38,11 @@ object Experiments {
   private def warmup(spark: SparkSession, b: Harness.Bundle): Unit = {
     val lines  = b.dataset.lines.take(2000)
     val chunks = repro.client.ClientFilter.chunk(lines, 1000)
-    val dir    = tmp("warmup")
-    repro.server.PartialLoader.loadFull(dir, b.dataset.schema, chunks)
-    spark.read.format("ciao").load(dir).count()
+    withStore("warmup") { dir =>
+      PartialLoader.loadFull(dir, b.dataset.schema, chunks, chunks.map(_ => Map.empty[Int, BitVec]),
+        ChunkStore.Registry(Vector.empty))
+      spark.read.format("ciao").load(dir).count()
+    }
     ()
   }
 
@@ -65,10 +73,10 @@ object Experiments {
       val (queries, _) = workloads(label)
       val exec = queries.take(nExec)
       val expected = if (verifyCounts) Harness.expectedCounts(b.dataset.lines, exec) else Vector.empty
-      val baseline = Harness.run(spark, b, queries, exec, budget = 0.0, storeDir = tmp("e2e"), chunkSize = ChunkSize)
+      val baseline = withStore("e2e")(dir => Harness.run(spark, b, queries, exec, 0.0, dir, chunkSize = ChunkSize))
       for (budget <- budgets) {
         val r = if (budget == 0.0) baseline
-                else Harness.run(spark, b, queries, exec, budget, storeDir = tmp("e2e"), chunkSize = ChunkSize)
+                else withStore("e2e")(dir => Harness.run(spark, b, queries, exec, budget, dir, chunkSize = ChunkSize))
         if (verifyCounts) require(r.counts == expected,
           s"count mismatch for $datasetName/$label at budget $budget")
         out += E2ERow(datasetName, label, budget,
@@ -108,9 +116,9 @@ object Experiments {
     warmup(spark, b)
     val queries = WorkloadGen.tableIII(b.pool.map(_.clause), nQueries, seed)("C")._1
     val exec    = queries.take(nExec)
-    val baseline = Harness.run(spark, b, queries, exec, 0.0, tmp("fig6"), chunkSize = ChunkSize)
+    val baseline = withStore("fig6")(dir => Harness.run(spark, b, queries, exec, 0.0, dir, chunkSize = ChunkSize))
     budgets.toVector.map { budget =>
-      val r = Harness.run(spark, b, queries, exec, budget, tmp("fig6"), chunkSize = ChunkSize)
+      val r = withStore("fig6")(dir => Harness.run(spark, b, queries, exec, budget, dir, chunkSize = ChunkSize))
       val improved = r.perQueryMs.zip(baseline.perQueryMs).count { case (t, t0) => t < t0 * 0.95 }
       SkipFracRow(budget, exec.size, improved, improved.toDouble / exec.size)
     }
@@ -136,9 +144,9 @@ object Experiments {
 
   private def runMicro(spark: SparkSession, b: Harness.Bundle, label: String,
                        queries: Vector[CiaoQuery], pushed: Vector[Clause]): MicroRow = {
-    val baseline = Harness.run(spark, b, queries, queries, 0.0, tmp("micro"), chunkSize = ChunkSize)
-    val r = Harness.run(spark, b, queries, queries, budget = Double.MaxValue,
-      storeDir = tmp("micro"), chunkSize = ChunkSize, forceSelected = Some(pushed))
+    val baseline = withStore("micro")(dir => Harness.run(spark, b, queries, queries, 0.0, dir, chunkSize = ChunkSize))
+    val r = withStore("micro")(dir => Harness.run(spark, b, queries, queries, Double.MaxValue, dir,
+      chunkSize = ChunkSize, forceSelected = Some(pushed)))
     require(r.counts == baseline.counts, s"micro $label: counts diverged")
     MicroRow(label, pushed.size, r.partialEnabled, r.loadedRatio,
       r.loadMs, baseline.loadMs, r.perQueryMs, baseline.perQueryMs,

@@ -29,7 +29,11 @@ final case class JBool(value: Boolean) extends JsonValue
   */
 final case class JNum(raw: String) extends JsonValue {
   def toDouble: Double = raw.toDouble
-  def toLong: Long     = math.round(raw.toDouble)
+
+  /** The exact integral value (`1e2` is 100); throws `ArithmeticException`
+    * when the number has a fractional part or does not fit in a `Long`.
+    */
+  def toLong: Long = new java.math.BigDecimal(raw).longValueExact()
 }
 
 /** JSON string. */

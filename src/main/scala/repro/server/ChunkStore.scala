@@ -52,7 +52,7 @@ object ChunkStore {
     ()
   }
 
-  private def deleteRecursively(f: File): Unit = {
+  private[repro] def deleteRecursively(f: File): Unit = {
     if (f.isDirectory) Option(f.listFiles()).foreach(_.foreach(deleteRecursively))
     f.delete()
     ()

@@ -29,13 +29,15 @@ object TableSchema {
   final case class Col(name: String, tpe: ColType) extends Serializable
 
   /** Extract the schema's columns from a parsed JSON object; absent or
-    * type-mismatched fields become null (JSON is schemaless on the wire).
+    * type-mismatched fields become null (JSON is schemaless on the wire),
+    * and so does a number in a long column that is not an exact `Long`.
     */
   def extractRow(schema: TableSchema, obj: JObj): Array[Any] =
     schema.cols.map { col =>
       (obj.get(col.name), col.tpe) match {
         case (Some(JStr(s)), CString)  => s
-        case (Some(JNum(r)), CLong)    => java.lang.Long.valueOf(JNum(r).toLong)
+        case (Some(n: JNum), CLong)    =>
+          try java.lang.Long.valueOf(n.toLong) catch { case _: ArithmeticException => null }
         case (Some(JNum(r)), CDouble)  => java.lang.Double.valueOf(r.toDouble)
         case (Some(JBool(b)), CBool)   => java.lang.Boolean.valueOf(b)
         case _                         => null

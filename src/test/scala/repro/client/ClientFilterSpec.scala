@@ -91,8 +91,8 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     val bits = ClientFilter.chunkBits(lines, Seq(
       0 -> Clause(KeyValueMatch("stars", "5")),
       1 -> Clause(SubstringMatch("text", "delicious"))))
-    assert(bits(0).toBooleans === Vector(true, false, true))
-    assert(bits(1).toBooleans === Vector(false, true, true))
+    assert(bits(0) === BitVec.tabulate(3)(Vector(true, false, true)))
+    assert(bits(1) === BitVec.tabulate(3)(Vector(false, true, true)))
   }
 
   test("prefilter measures elapsed time and covers all chunks") {

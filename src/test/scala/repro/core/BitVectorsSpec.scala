@@ -26,9 +26,10 @@ class BitVectorsSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  test("fromBooleans round-trips") {
+  test("tabulate round-trips") {
     val bs = Vector(true, false, true, true, false)
-    assert(BitVec.fromBooleans(bs).toBooleans === bs)
+    val v  = BitVec.tabulate(bs.size)(bs)
+    assert(Vector.tabulate(v.nBits)(v.get) === bs)
   }
 
   test("get out of range throws") {
@@ -42,13 +43,13 @@ class BitVectorsSpec extends AnyFunSuite with PropSupport {
   }
 
   test("setBits lists indices ascending") {
-    val v = BitVec.fromBooleans(Vector(false, true, false, true, true))
+    val v = BitVec.tabulate(5)(Vector(false, true, false, true, true))
     assert(v.setBits === Vector(1, 3, 4))
   }
 
   test("compact keeps only requested positions") {
-    val v = BitVec.fromBooleans(Vector(true, false, true, false, true))
-    assert(v.compact(Vector(0, 1, 4)).toBooleans === Vector(true, false, true))
+    val v = BitVec.tabulate(5)(Vector(true, false, true, false, true))
+    assert(v.compact(Vector(0, 1, 4)) === BitVec.tabulate(3)(Vector(true, false, true)))
   }
 
   test("intersectAll of nothing is full (identity)") {
@@ -60,28 +61,49 @@ class BitVectorsSpec extends AnyFunSuite with PropSupport {
   }
 
   test("equals and hashCode respect content") {
-    val a = BitVec.fromBooleans(Vector(true, false, true))
-    val b = BitVec.fromBooleans(Vector(true, false, true))
-    val c = BitVec.fromBooleans(Vector(true, true, true))
+    val a = BitVec.tabulate(3)(Vector(true, false, true))
+    val b = BitVec.tabulate(3)(Vector(true, false, true))
+    val c = BitVec.tabulate(3)(Vector(true, true, true))
     assert(a === b); assert(a.hashCode === b.hashCode); assert(a !== c)
   }
 
-  private val boolsGen: Gen[List[Boolean]] =
-    Gen.choose(0, 300).flatMap(n => Gen.listOfN(n, Gen.oneOf(true, false)))
+  /** Lengths around word boundaries, plus arbitrary ones. */
+  private val lengthGen: Gen[Int] =
+    Gen.frequency(1 -> Gen.oneOf(0, 1, 63, 64, 65, 128, 130), 1 -> Gen.choose(0, 300))
+
+  private val boolsGen: Gen[Vector[Boolean]] =
+    lengthGen.flatMap(n => Gen.containerOfN[Vector, Boolean](n, Gen.oneOf(true, false)))
+
+  private def bitVec(bs: Vector[Boolean]): BitVec = BitVec.tabulate(bs.size)(bs)
 
   test("property: and/or agree with element-wise boolean ops") {
     forAllSamples(Gen.zip(boolsGen, boolsGen)) { case (xs0, ys0) =>
       val n  = math.min(xs0.size, ys0.size)
       val xs = xs0.take(n); val ys = ys0.take(n)
-      val a  = BitVec.fromBooleans(xs); val b = BitVec.fromBooleans(ys)
-      assert(a.and(b).toBooleans === xs.zip(ys).map(t => t._1 && t._2))
-      assert(a.or(b).toBooleans === xs.zip(ys).map(t => t._1 || t._2))
+      val a  = bitVec(xs); val b = bitVec(ys)
+      assert(a.and(b) === bitVec(xs.zip(ys).map(t => t._1 && t._2)))
+      assert(a.or(b) === bitVec(xs.zip(ys).map(t => t._1 || t._2)))
     }
   }
 
   test("property: cardinality equals count of true") {
     forAllSamples(boolsGen) { bs =>
-      assert(BitVec.fromBooleans(bs).cardinality === bs.count(identity))
+      assert(bitVec(bs).cardinality === bs.count(identity))
+    }
+  }
+
+  test("property: tabulate, setBits and compact agree with a Vector[Boolean] model") {
+    val withPositions = boolsGen.flatMap { bs =>
+      Gen.containerOfN[Vector, Boolean](bs.size, Gen.oneOf(true, false))
+        .map(pick => (bs, bs.indices.filter(pick).toVector))
+    }
+    forAllSamples(withPositions) { case (bs, positions) =>
+      val v = bitVec(bs)
+      assert(v.nBits === bs.size)
+      assert(bs.indices.forall(i => v.get(i) == bs(i)))
+      assert(v.setBits === bs.indices.filter(bs))
+      assert(v.compact(positions) === bitVec(positions.map(bs)))
+      assert(v.compact(bs.indices) === v)
     }
   }
 
@@ -93,7 +115,7 @@ class BitVectorsSpec extends AnyFunSuite with PropSupport {
 
   test("sidecar serialization round-trips") {
     val m = Map(
-      1 -> BitVec.fromBooleans(Vector.tabulate(130)(_ % 3 == 0)),
+      1 -> BitVec.tabulate(130)(_ % 3 == 0),
       7 -> BitVec.full(64),
       9 -> BitVec.empty(1),
     )
@@ -105,7 +127,7 @@ class BitVectorsSpec extends AnyFunSuite with PropSupport {
   }
 
   test("property: sidecar round-trips arbitrary maps") {
-    val entryGen = Gen.zip(Gen.choose(0, 50), boolsGen.map(BitVec.fromBooleans))
+    val entryGen = Gen.zip(Gen.choose(0, 50), boolsGen.map(bitVec))
     forAllSamples(Gen.listOf(entryGen).map(_.toMap), n = 50) { m =>
       assert(roundTrip(m) === m)
     }

@@ -136,6 +136,26 @@ class CiaoDataSourceSpec extends SparkSpec {
     assert(withSkip < noSkip)
   }
 
+  test("a sidecar whose length differs from its chunk fails the query") {
+    val ds     = JsonDatasets.yelp(1000, seed = 7)
+    val clause = Clause(KeyValueMatch("stars", "5"))
+    val chunks = ClientFilter.chunk(ds.lines, 500)
+    val bits   = chunks.map(ClientFilter.chunkBits(_, Seq(0 -> clause)))
+    for (delta <- Seq(-1, 1)) {
+      val dir = tmpDir("ciao-bad-bits")
+      PartialLoader.loadPartial(dir, ds.schema, chunks, bits,
+        ChunkStore.Registry(Vector(ChunkStore.RegEntry(0, clause, 0.2, 0.1))))
+      val path = ChunkStore.bitsPath(dir, 0)
+      ChunkStore.writeBits(path, ChunkStore.readBits(path).map { case (id, bv) =>
+        id -> BitVec.tabulate(bv.nBits + delta)(i => i < bv.nBits && bv.get(i))
+      })
+      val e = intercept[Exception](ciao(dir).where("stars = 5").count())
+      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      assert(causes.exists(c => c.isInstanceOf[IllegalStateException] && c.getMessage.contains("sidecar")),
+        s"delta=$delta: $e")
+    }
+  }
+
   test("missing path option fails loudly") {
     intercept[Exception] { spark.read.format("ciao").load() }
   }

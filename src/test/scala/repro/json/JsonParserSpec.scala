@@ -66,6 +66,9 @@ class JsonParserSpec extends AnyFunSuite with PropSupport {
   test("parses negative and exponent numbers") {
     assert(JsonParser.parse("-12").asInstanceOf[JNum].toLong === -12L)
     assert(JsonParser.parse("1.5E+2").asInstanceOf[JNum].toDouble === 150.0)
+    assert(JsonParser.parse("1e2").asInstanceOf[JNum].toLong === 100L)
+    assert(JsonParser.parse("9007199254740993").asInstanceOf[JNum].toLong === 9007199254740993L)
+    intercept[ArithmeticException](JsonParser.parse("1.7").asInstanceOf[JNum].toLong)
   }
 
   test("rejects trailing garbage") {

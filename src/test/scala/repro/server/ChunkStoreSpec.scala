@@ -55,7 +55,7 @@ class ChunkStoreSpec extends AnyFunSuite {
 
   test("sidecar bits round-trip through files") {
     val dir = tmpDir(); ChunkStore.init(dir)
-    val bits = Map(0 -> BitVec.fromBooleans(Vector(true, false, true)), 2 -> BitVec.full(70))
+    val bits = Map(0 -> BitVec.tabulate(3)(Vector(true, false, true)), 2 -> BitVec.full(70))
     val p = ChunkStore.bitsPath(dir, 0)
     ChunkStore.writeBits(p, bits)
     assert(ChunkStore.readBits(p) === bits)

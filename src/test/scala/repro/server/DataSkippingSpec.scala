@@ -100,15 +100,16 @@ class DataSkippingSpec extends AnyFunSuite {
 
   test("combinedBits ANDs the requested predicate vectors") {
     val sidecar = Map(
-      0 -> BitVec.fromBooleans(Vector(true, true, false, true)),
-      1 -> BitVec.fromBooleans(Vector(true, false, false, true)))
+      0 -> BitVec.tabulate(4)(Vector(true, true, false, true)),
+      1 -> BitVec.tabulate(4)(Vector(true, false, false, true)))
     val combined = DataSkipping.combinedBits(sidecar, Seq(0, 1), 4)
-    assert(combined.toBooleans === Vector(true, false, false, true))
+    assert(combined.setBits === Vector(0, 3))
+    assert(combined.nBits === 4)
   }
 
   test("combinedBits with one id returns that vector") {
-    val sidecar = Map(0 -> BitVec.fromBooleans(Vector(false, true)))
-    assert(DataSkipping.combinedBits(sidecar, Seq(0), 2).toBooleans === Vector(false, true))
+    val sidecar = Map(0 -> BitVec.tabulate(2)(Vector(false, true)))
+    assert(DataSkipping.combinedBits(sidecar, Seq(0), 2) === sidecar(0))
   }
 
   test("combinedBits fails loudly on a missing sidecar entry") {

@@ -72,11 +72,16 @@ class ParquetIOSpec extends AnyFunSuite {
     val obj = JsonParser.parseObject("""{"l":42,"s":"hi","b":false,"d":2.5,"extra":1}""")
     val row = TableSchema.extractRow(schema, obj)
     assert(row.toSeq === Seq("hi", 42L, 2.5, false))
+    for ((lexeme, value) <- Seq("9007199254740993" -> 9007199254740993L, "1e2" -> 100L)) {
+      val r = TableSchema.extractRow(schema, JsonParser.parseObject(s"""{"l":$lexeme}"""))
+      assert(r(1) === value, lexeme)
+    }
   }
 
   test("extractRow nulls missing and type-mismatched fields") {
     val obj = TableSchema.extractRow(schema, JsonParser.parseObject("""{"s":5,"l":"x","d":true}"""))
     assert(obj.toSeq === Seq(null, null, null, null))
+    assert(TableSchema.extractRow(schema, JsonParser.parseObject("""{"l":1.7}""")).toSeq === Seq(null, null, null, null))
   }
 
   test("messageType declares one optional field per column") {

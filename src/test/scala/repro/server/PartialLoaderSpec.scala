@@ -98,6 +98,7 @@ class PartialLoaderSpec extends AnyFunSuite {
       val sidecar = ChunkStore.readBits(cf.bits.get)
       val rows    = ParquetIO.readChunk(cf.parquet.get, ds.schema)
       sidecar.values.foreach(bv => assert(bv.nBits === rows.size))
+      assert(sidecar === bits(cf.id))
     }
   }
 
