@@ -1,0 +1,63 @@
+package repro.bench
+
+import java.nio.file.Files
+
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.json.JsonParser
+import repro.server.{ChunkStore, ParquetIO, TableSchema}
+import repro.workload.JsonDatasets
+
+/** Per-chunk cost of the store's Parquet I/O: the median `writeChunk` time
+  * and the median `ChunkRows` open + drain time for one winlog chunk of
+  * 1,000 rows (every 4th row of a 4,000-row chunk, the share a partial load
+  * keeps at selectivity 0.25; 4 string columns). Single-threaded, fixed
+  * rows and seed, 10 warm-up rounds, then the median of 31 timed rounds.
+  * Each round writes a new file, because `writeChunk` never overwrites.
+  *
+  * Run: `sbt "bench/testOnly repro.bench.ParquetIOBench"`.
+  */
+class ParquetIOBench extends AnyFunSuite {
+
+  private val Warmup = 10
+  private val Runs   = 31
+
+  private def median(xs: Seq[Long]): Double = {
+    val s = xs.sorted
+    s(s.size / 2) / 1e6
+  }
+
+  test("ParquetIO: median write and open+drain ms for one 1,000-row winlog chunk") {
+    val ds     = JsonDatasets.winlog(4000)
+    val schema = ds.schema
+    val rows   = ds.lines.indices.by(4).map(i => TableSchema.extractRow(schema, JsonParser.parseObject(ds.lines(i)))).toVector
+    val dir    = Files.createTempDirectory("pio-bench")
+    try {
+      // One round: write a fresh file, then open it and read every row.
+      def round(i: Int): (Long, Long, Long) = {
+        val path = dir.resolve(s"chunk-$i.parquet")
+        val t0   = System.nanoTime()
+        ParquetIO.writeChunk(path.toString, schema, rows)
+        val t1   = System.nanoTime()
+        val it   = new ParquetIO.ChunkRows(path.toString, schema)
+        var n    = 0
+        try while (it.hasNext) { it.next(); n += 1 } finally it.close()
+        val t2   = System.nanoTime()
+        assert(n === rows.size)
+        val bytes = Files.size(path)
+        Files.delete(path)
+        (t1 - t0, t2 - t1, bytes)
+      }
+      (0 until Warmup).foreach(round)
+      val timed = (Warmup until Warmup + Runs).map(round)
+      val write = median(timed.map(_._1))
+      val read  = median(timed.map(_._2))
+      println(f"== ParquetIO per-chunk cost: ${rows.size} rows x ${schema.cols.size} cols, " +
+        f"${timed.head._3}%,d B, median of $Runs after $Warmup warm-up ==")
+      println(f"writeChunk            $write%8.2f ms")
+      println(f"ChunkRows open+drain  $read%8.2f ms")
+      println(s"hardware: ${Runtime.getRuntime.availableProcessors()} cpus, " +
+        s"java ${System.getProperty("java.version")}, ${System.getProperty("os.arch")}")
+    } finally ChunkStore.deleteRecursively(dir.toFile)
+  }
+}

@@ -61,17 +61,28 @@ final case class KeyPresence(attr: String) extends Atom {
 
 /** `attr = <number|boolean>`; two pattern strings: the quoted key then the
   * raw literal searched between the key and the next field delimiter
-  * (paper §IV-B "Key-value match").
+  * (paper §IV-B "Key-value match"). The typed evaluation compares numbers
+  * exactly by value (`1e2` and `100.0` equal `100`; integers above 2^53 stay
+  * distinct) and falls back to lexeme equality for a non-numeric literal.
   */
 final case class KeyValueMatch(attr: String, literal: String) extends Atom {
   def patterns: Seq[String] = Seq("\"" + attr + "\"", literal)
   def sql: String           = s"$attr = $literal"
   def evalParsed(obj: JObj): Boolean = obj.get(attr) match {
-    case Some(JNum(raw)) => raw == literal || (raw.toDouble == scala.util.Try(literal.toDouble).getOrElse(Double.NaN))
+    case Some(JNum(raw)) => (KeyValueMatch.decimal(raw), KeyValueMatch.decimal(literal)) match {
+      case (Some(a), Some(b)) => a.compareTo(b) == 0
+      case _                  => raw == literal
+    }
     case Some(JBool(b))  => literal == (if (b) "true" else "false")
     case _               => false
   }
   def canonical: String     = s"kv:$attr=$literal"
+}
+
+object KeyValueMatch {
+  /** The exact value of a JSON number lexeme, or None for any other text. */
+  private def decimal(s: String): Option[java.math.BigDecimal] =
+    try Some(new java.math.BigDecimal(s)) catch { case _: NumberFormatException => None }
 }
 
 /** A disjunction of atoms — the unit of predicate pushdown ("predicate" in

@@ -1,11 +1,15 @@
 package repro.server
 
-import org.apache.hadoop.conf.Configuration
-import org.apache.hadoop.fs.Path
+import java.nio.file.Paths
+
+import org.apache.parquet.ParquetReadOptions
+import org.apache.parquet.conf.PlainParquetConfiguration
 import org.apache.parquet.example.data.Group
 import org.apache.parquet.example.data.simple.SimpleGroupFactory
-import org.apache.parquet.hadoop.ParquetReader
-import org.apache.parquet.hadoop.example.{ExampleParquetWriter, GroupReadSupport, GroupWriteSupport}
+import org.apache.parquet.example.data.simple.convert.GroupRecordConverter
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.example.ExampleParquetWriter
+import org.apache.parquet.io.{ColumnIOFactory, LocalInputFile, LocalOutputFile, RecordReader}
 import org.apache.parquet.schema.{LogicalTypeAnnotation, MessageType, Types}
 import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
 
@@ -45,10 +49,14 @@ object TableSchema {
     }.toArray[Any]
 }
 
-/** Parquet chunk files written/read through the parquet-hadoop Group API —
-  * the reproduction's stand-in for the paper's Arrow C++ low-level writer.
-  * Row order inside a chunk file is load order, which keeps the sidecar
-  * bit-vectors aligned by row index.
+/** Parquet chunk files written and read through parquet-mr's `Group` API
+  * over plain local files (`LocalOutputFile` / `LocalInputFile` with a
+  * `PlainParquetConfiguration`) — the reproduction's stand-in for the
+  * paper's Arrow C++ low-level writer. Like that writer it has no
+  * filesystem layer: no Hadoop `FileSystem`, `Configuration` or `.crc`
+  * side file, so a chunk costs what its rows cost. Files are standard
+  * uncompressed Parquet. Row order inside a chunk file is load order, which
+  * keeps the sidecar bit-vectors aligned by row index.
   */
 object ParquetIO {
   import TableSchema._
@@ -69,13 +77,13 @@ object ParquetIO {
     b.named("ciao_chunk")
   }
 
-  /** Write one chunk file; rows align with `schema.cols`. */
+  /** Write one chunk file; rows align with `schema.cols`. Fails if `path`
+    * already exists.
+    */
   def writeChunk(path: String, schema: TableSchema, rows: Iterable[Array[Any]]): Unit = {
     val msgType = messageType(schema)
-    val conf    = new Configuration(false)
-    GroupWriteSupport.setSchema(msgType, conf)
-    val writer = ExampleParquetWriter.builder(new Path(path))
-      .withConf(conf)
+    val writer = ExampleParquetWriter.builder(new LocalOutputFile(Paths.get(path)))
+      .withConf(new PlainParquetConfiguration())
       .withType(msgType)
       .build()
     try {
@@ -101,19 +109,32 @@ object ParquetIO {
     } finally writer.close()
   }
 
-  /** Streaming reader over a chunk file; call [[ChunkRows.close]] when done. */
+  /** Streaming reader over a chunk file, one row group at a time; call
+    * [[ChunkRows.close]] when done. Columns are looked up by name in the
+    * file's own schema. A missing file fails the constructor.
+    */
   final class ChunkRows(path: String, schema: TableSchema) extends Iterator[Array[Any]] with AutoCloseable {
-    private val reader: ParquetReader[Group] =
-      ParquetReader.builder(new GroupReadSupport(), new Path(path))
-        .withConf(new Configuration(false))
-        .build()
-    private var nextGroup: Group = reader.read()
+    private val reader = ParquetFileReader.open(new LocalInputFile(Paths.get(path)),
+      ParquetReadOptions.builder(new PlainParquetConfiguration()).build())
+    private val fileSchema = reader.getFooter.getFileMetaData.getSchema
+    private val columnIO   = new ColumnIOFactory().getColumnIO(fileSchema)
+    private var records: RecordReader[Group] = _
+    private var left = 0L // rows not yet read from the current row group
 
-    override def hasNext: Boolean = nextGroup != null
+    override def hasNext: Boolean = {
+      while (left == 0) {
+        val pages = reader.readNextRowGroup()
+        if (pages == null) return false
+        records = columnIO.getRecordReader(pages, new GroupRecordConverter(fileSchema))
+        left = pages.getRowCount
+      }
+      true
+    }
 
     override def next(): Array[Any] = {
-      val g = nextGroup
-      nextGroup = reader.read()
+      if (!hasNext) throw new NoSuchElementException(s"no more rows in $path")
+      val g = records.read()
+      left -= 1
       schema.cols.map { col =>
         if (g.getFieldRepetitionCount(col.name) == 0) null
         else col.tpe match {

@@ -82,6 +82,22 @@ class PredicateSpec extends AnyFunSuite {
     assert(KeyValueMatch("x", "2.4").evalParsed(o))
   }
 
+  test("key-value typed evaluation compares numbers exactly, beyond Double precision") {
+    val big = JsonParser.parseObject("""{"x":9007199254740993}""")
+    assert(!KeyValueMatch("x", "9007199254740992").evalParsed(big))
+    assert(KeyValueMatch("x", "9007199254740993").evalParsed(big))
+  }
+
+  test("key-value typed evaluation matches other spellings of the same number") {
+    for (lexeme <- Seq("1e2", "100.0", "1.00E+2"))
+      assert(KeyValueMatch("x", "100").evalParsed(JsonParser.parseObject(s"""{"x":$lexeme}""")), lexeme)
+    assert(!KeyValueMatch("x", "100").evalParsed(JsonParser.parseObject("""{"x":100.5}""")))
+  }
+
+  test("key-value typed evaluation of a non-numeric literal against a number is lexeme equality") {
+    assert(!KeyValueMatch("x", "true").evalParsed(JsonParser.parseObject("""{"x":1}""")))
+  }
+
   test("clause evaluation is an OR over atoms") {
     val cl = Clause(ExactMatch("name", "John"), KeyValueMatch("age", "22"))
     assert(cl.evalParsed(bob))

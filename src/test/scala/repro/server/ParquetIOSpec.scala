@@ -1,20 +1,21 @@
 package repro.server
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
+
+import scala.jdk.CollectionConverters._
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.SparkSpec
 import repro.json.JsonParser
 import TableSchema._
 
-/** Parquet Group-API chunk IO: write/read round-trips, nulls, ordering. */
+/** Parquet Group-API chunk IO: write/read round-trips, nulls, ordering,
+  * and the local-file contract (no side files, no overwrite, no silent
+  * empty read).
+  */
 class ParquetIOSpec extends AnyFunSuite {
-
-  private val schema = TableSchema(Vector(
-    Col("s", CString), Col("l", CLong), Col("d", CDouble), Col("b", CBool)))
-
-  private def tmpFile(): String =
-    Files.createTempDirectory("pio").resolve("c.parquet").toString
+  import ParquetIOSpec._
 
   test("round-trips typed rows in order") {
     val rows: Vector[Array[Any]] = Vector(
@@ -84,9 +85,64 @@ class ParquetIOSpec extends AnyFunSuite {
     assert(TableSchema.extractRow(schema, JsonParser.parseObject("""{"l":1.7}""")).toSeq === Seq(null, null, null, null))
   }
 
+  test("writeChunk leaves no file but the chunk itself (no .crc)") {
+    val path = tmpFile()
+    ParquetIO.writeChunk(path, schema, sampleRows)
+    val dir = Paths.get(path).getParent
+    val names = Files.list(dir).iterator().asScala.map(_.getFileName.toString).toVector
+    assert(names === Vector("c.parquet"))
+  }
+
+  test("writeChunk onto an existing path fails and keeps the old file") {
+    val path = tmpFile()
+    ParquetIO.writeChunk(path, schema, sampleRows)
+    val before = Files.readAllBytes(Paths.get(path)).toSeq
+    intercept[java.nio.file.FileAlreadyExistsException](ParquetIO.writeChunk(path, schema, sampleRows.take(1)))
+    assert(Files.readAllBytes(Paths.get(path)).toSeq === before)
+    assert(ParquetIO.readChunk(path, schema).size === sampleRows.size)
+  }
+
+  test("opening a missing chunk file throws instead of yielding no rows") {
+    val path = tmpFile()
+    intercept[java.io.IOException](new ParquetIO.ChunkRows(path, schema))
+  }
+
   test("messageType declares one optional field per column") {
     val mt = ParquetIO.messageType(schema)
     assert(mt.getFieldCount === 4)
     schema.cols.foreach(c => assert(mt.containsField(c.name)))
+  }
+}
+
+object ParquetIOSpec {
+  val schema: TableSchema = TableSchema(Vector(
+    Col("s", CString), Col("l", CLong), Col("d", CDouble), Col("b", CBool)))
+
+  /** Every column type, nulls included, and a long above 2^53. */
+  val sampleRows: Vector[Array[Any]] = Vector.tabulate(50) { i =>
+    Array[Any](
+      if (i % 7 == 0) null else s"row $i ✓",
+      if (i % 5 == 0) null else java.lang.Long.valueOf(9007199254740993L + i),
+      if (i % 3 == 0) null else java.lang.Double.valueOf(i * 0.25),
+      if (i % 4 == 0) null else java.lang.Boolean.valueOf(i % 2 == 0))
+  }
+
+  def tmpFile(): String =
+    Files.createTempDirectory("pio").resolve("c.parquet").toString
+}
+
+/** Chunks written by [[ParquetIO.writeChunk]] are standard Parquet: Spark's
+  * built-in reader sees the same values.
+  */
+class ParquetIOSparkSpec extends SparkSpec {
+  import ParquetIOSpec._
+
+  test("a chunk reads back with equal values through spark.read.parquet") {
+    val path = tmpFile()
+    ParquetIO.writeChunk(path, schema, sampleRows)
+    val df = spark.read.parquet(path)
+    assert(df.columns.toSeq === schema.names)
+    val got = df.collect().map(r => Seq.tabulate(r.length)(r.get))
+    assert(got.toSeq === sampleRows.map(_.toSeq))
   }
 }
