@@ -44,11 +44,16 @@ object ClientFilter {
   def matchClause(line: String, clause: Clause): Boolean =
     clause.atoms.exists(matchAtom(line, _))
 
-  /** Bit-vectors for one chunk: predicate id → one bit per line. */
-  def chunkBits(lines: IndexedSeq[String], selected: Seq[(Int, Clause)]): Map[Int, BitVec] =
+  /** Bit-vectors for one chunk: predicate id → one bit per line. A line
+    * with a backslash gets bit 1 for every predicate: only an escape can
+    * give a JSON string or key a second spelling (RFC 8259 §7).
+    */
+  def chunkBits(lines: IndexedSeq[String], selected: Seq[(Int, Clause)]): Map[Int, BitVec] = {
+    val escaped = BitVec.tabulate(lines.size)(i => lines(i).indexOf('\\') >= 0)
     selected.map { case (id, clause) =>
-      id -> BitVec.tabulate(lines.size)(i => matchClause(lines(i), clause))
+      id -> BitVec.tabulate(lines.size)(i => matchClause(lines(i), clause)).or(escaped)
     }.toMap
+  }
 
   /** Result of client prefiltering over a sequence of chunks. */
   final case class PrefilterResult(

@@ -3,14 +3,12 @@ package repro.datasource
 import java.util.{Map => JMap}
 
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources.{DataSourceRegister, Filter}
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
-import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.BitVec
 import repro.json.JsonParser
@@ -142,42 +140,36 @@ class CiaoReaderFactory extends PartitionReaderFactory {
 }
 
 /** Reads one Parquet chunk row by row, skipping rows whose combined
-  * (ANDed) bit across the scan's matched predicates is 0. A sidecar whose
-  * length differs from the chunk's row count is a store corruption and
-  * fails the scan rather than dropping or inventing rows.
+  * (ANDed) bit across the scan's matched predicates is 0. The sidecar is
+  * checked once, when the reader opens: a chunk planned with skip ids but
+  * without a sidecar, or a sidecar whose length differs from the chunk's
+  * footer row count, is a store corruption and fails the scan rather than
+  * dropping or inventing rows. Rows reach Spark as the chunk reader built
+  * them.
   */
 class ParquetChunkReader(p: ParquetChunkPartition) extends PartitionReader[InternalRow] {
   private val rows = new ParquetIO.ChunkRows(p.parquetPath, p.tableSchema)
   private val combined: Option[BitVec] =
     if (p.skipIds.isEmpty) None
-    else p.bitsPath.map { bp =>
-      val sidecar = ChunkStore.readBits(bp)
-      val nRows   = sidecar.headOption.map(_._2.nBits).getOrElse(0)
-      DataSkipping.combinedBits(sidecar, p.skipIds.toSeq, nRows)
+    else {
+      val bp = p.bitsPath.getOrElse(
+        throw new IllegalStateException(s"${p.parquetPath} is planned with skip ids but has no sidecar"))
+      Some(DataSkipping.combinedBits(ChunkStore.readBits(bp), p.skipIds.toSeq, rows.rowCount.toInt))
     }
 
   private var rowIdx  = -1
-  private var current: Array[Any] = _
-
-  private def mismatch(rowCount: String): Nothing =
-    throw new IllegalStateException(
-      s"sidecar ${p.bitsPath.getOrElse("")} has ${combined.fold(0)(_.nBits)} bits but ${p.parquetPath} has $rowCount rows")
+  private var current: InternalRow = _
 
   override def next(): Boolean = {
     while (rows.hasNext) {
       current = rows.next()
       rowIdx += 1
-      val keep = combined match {
-        case Some(bits) => if (rowIdx < bits.nBits) bits.get(rowIdx) else mismatch(s"at least ${rowIdx + 1}")
-        case None       => true
-      }
-      if (keep) return true
+      if (combined.forall(_.get(rowIdx))) return true
     }
-    if (combined.exists(_.nBits != rowIdx + 1)) mismatch(s"${rowIdx + 1}")
     false
   }
 
-  override def get(): InternalRow = CiaoRows.toInternal(current)
+  override def get(): InternalRow = current
 
   override def close(): Unit = rows.close()
 }
@@ -185,7 +177,7 @@ class ParquetChunkReader(p: ParquetChunkPartition) extends PartitionReader[Inter
 /** Parses one `.raw` JSON chunk just-in-time and emits every object. */
 class RawChunkReader(p: RawChunkPartition) extends PartitionReader[InternalRow] {
   private val lines   = ChunkStore.readRawLines(p.rawPath).iterator
-  private var current: Array[Any] = _
+  private var current: InternalRow = _
 
   override def next(): Boolean = {
     if (!lines.hasNext) false
@@ -195,23 +187,7 @@ class RawChunkReader(p: RawChunkPartition) extends PartitionReader[InternalRow] 
     }
   }
 
-  override def get(): InternalRow = CiaoRows.toInternal(current)
+  override def get(): InternalRow = current
 
   override def close(): Unit = ()
-}
-
-private object CiaoRows {
-  /** External row values → Catalyst internal representation. */
-  def toInternal(row: Array[Any]): InternalRow = {
-    val vals = new Array[Any](row.length)
-    var i = 0
-    while (i < row.length) {
-      vals(i) = row(i) match {
-        case s: String => UTF8String.fromString(s)
-        case other     => other // Long / Double / Boolean / null are internal-compatible
-      }
-      i += 1
-    }
-    new GenericInternalRow(vals)
-  }
 }

@@ -262,18 +262,7 @@ object Experiments {
   def costModelTable(sampleRows: Int = 2500, predsPerDataset: Int = 34, seed: Long = 99L): Vector[PlatformRow] = {
     val rnd = new Random(seed)
     val samples = Vector("yelp", "winlog", "ycsb").flatMap { name =>
-      val ds    = JsonDatasets.byName(name, sampleRows)
-      val lines = ds.lines.sortBy(_.length)
-      val buckets = (0 until 4).map(k =>
-        lines.slice(k * lines.size / 4, (k + 1) * lines.size / 4)).filter(_.nonEmpty)
-      val pool     = PredicatePool.byName(name)
-      val patterns = pool.flatMap(_.clause.atoms.flatMap(_.patterns)).distinct
-      val chosen   = patterns.sortBy(_.length)
-        .grouped(math.max(1, patterns.size / predsPerDataset)).map(_.head).toVector
-      chosen.zipWithIndex.map { case (pat, i) =>
-        val bucket = buckets(i % buckets.size)
-        Harness.measureSearch(bucket, pat, bucket.map(_.length.toLong).sum.toDouble / bucket.size)
-      }
+      Harness.calibrationSamples(JsonDatasets.byName(name, sampleRows).lines, PredicatePool.byName(name), predsPerDataset)
     }
     val measured = samples
     val noisy = samples.map { s =>

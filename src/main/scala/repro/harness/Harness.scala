@@ -33,13 +33,15 @@ object Harness {
   ) {
     def name: String         = dataset.name
     def avgLen: Double       = dataset.avgLineLength
+    /** Sample-estimated selectivity of an atom, [[FallbackAtomSel]] if unseen. */
+    def atomSel(a: Atom): Double = sels.getOrElse(Clause(a).canonical, FallbackAtomSel)
     /** Selectivity of a clause from its atoms (independence for disjunctions). */
-    def clauseSel(clause: Clause): Double = {
-      val atomSel = clause.atoms.map(a => sels.getOrElse(Clause(a).canonical, fallbackAtomSel(a)))
-      1.0 - atomSel.map(1.0 - _).product
-    }
-    private def fallbackAtomSel(a: Atom): Double = 0.1
+    def clauseSel(clause: Clause): Double =
+      1.0 - clause.atoms.map(a => 1.0 - atomSel(a)).product
   }
+
+  /** Selectivity assumed for an atom the selectivity sample never saw. */
+  val FallbackAtomSel = 0.1
 
   /** Build a bundle: generate data, expand the Table II pool, estimate
     * selectivities on a sample, calibrate the cost model on this machine.
@@ -62,7 +64,15 @@ object Harness {
     * lenT times the intercept column) and the fit would be singular.
     */
   def calibrate(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry],
-                maxPreds: Int = 80): CostModel.Coeffs = {
+                maxPreds: Int = 80): CostModel.Coeffs =
+    CostModel.calibrate(calibrationSamples(sampleLines, pool, maxPreds), lambda = 1e-6)
+
+  /** The calibration design: lines sorted into 4 length buckets, and every
+    * k-th distinct pool pattern by length (about `maxPreds` of them), each
+    * timed over the next bucket in turn.
+    */
+  def calibrationSamples(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry],
+                         maxPreds: Int): Vector[CostModel.Sample] = {
     val lines = sampleLines.toIndexedSeq.sortBy(_.length)
     val nBuckets = 4
     val buckets = (0 until nBuckets)
@@ -71,12 +81,11 @@ object Harness {
     // One search per sample: use each candidate's first pattern string.
     val patterns = pool.flatMap(_.clause.atoms.flatMap(_.patterns)).distinct
     val chosen   = patterns.sortBy(_.length).grouped(math.max(1, patterns.size / maxPreds)).map(_.head).toVector
-    val samples = chosen.zipWithIndex.map { case (pat, i) =>
+    chosen.zipWithIndex.map { case (pat, i) =>
       val bucket = buckets(i % buckets.size)
       val bLen   = bucket.map(_.length.toLong).sum.toDouble / bucket.size
       measureSearch(bucket, pat, bLen)
     }
-    CostModel.calibrate(samples, lambda = 1e-6)
   }
 
   /** Measure one pattern's per-object search cost in µs. Each timing runs
@@ -88,7 +97,7 @@ object Harness {
     lines.foreach(l => if (l.contains(pattern)) hits += 1) // warm-up + hit rate
     val sel    = hits.toDouble / math.max(1, lines.size)
     val passes = math.max(1, 200000 / math.max(1, lines.size))
-    var acc    = 0
+    var acc    = 0L
     def onePass(): Unit = {
       var i = 0
       while (i < lines.length) { if (lines(i).indexOf(pattern) >= 0) acc += 1; i += 1 }
@@ -100,7 +109,8 @@ object Harness {
       while (p < passes) { onePass(); p += 1 }
       (System.nanoTime() - t0).toDouble / (lines.length.toLong * passes) / 1e3
     }
-    if (acc == -1) println("") // keep `acc` live
+    val expected = hits * (2L + 5L * passes) // every pass finds as many lines as the warm-up
+    if (acc != expected) throw new IllegalStateException(s"passes over '$pattern' found $acc lines, not $expected")
     CostModel.Sample(sel, pattern.length.toDouble, avgLen, times.sorted.apply(2))
   }
 
@@ -110,8 +120,7 @@ object Harness {
   def candidates(bundle: Bundle, queries: Seq[CiaoQuery]): Vector[PredicateSelection.Candidate] =
     queries.flatMap(_.clauses).distinctBy(_.canonical).map { cl =>
       val sel  = bundle.clauseSel(cl)
-      val cost = CostModel.clauseCost(bundle.coeffs, cl,
-        a => bundle.sels.getOrElse(Clause(a).canonical, 0.1), bundle.avgLen)
+      val cost = CostModel.clauseCost(bundle.coeffs, cl, bundle.atomSel, bundle.avgLen)
       PredicateSelection.Candidate(cl, sel, math.max(cost, 1e-6))
     }.toVector
 

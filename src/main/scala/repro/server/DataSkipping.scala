@@ -68,11 +68,15 @@ object DataSkipping {
 
   /** AND the bit-vectors of `ids` for a chunk with `nRows` loaded rows.
     * An id missing from the sidecar (predicate pushed but chunk written
-    * without it) would be a store corruption — fail loudly.
+    * without it), or a vector whose length is not `nRows`, is a store
+    * corruption — fail loudly.
     */
   def combinedBits(sidecar: Map[Int, BitVec], ids: Seq[Int], nRows: Int): BitVec = {
     val vs = ids.map { id =>
-      sidecar.getOrElse(id, throw new IllegalStateException(s"sidecar missing bit-vector for predicate $id"))
+      val bv = sidecar.getOrElse(id, throw new IllegalStateException(s"sidecar missing bit-vector for predicate $id"))
+      if (bv.nBits != nRows)
+        throw new IllegalStateException(s"sidecar bit-vector for predicate $id has ${bv.nBits} bits but its chunk has $nRows rows")
+      bv
     }
     BitVec.intersectAll(nRows, vs)
   }

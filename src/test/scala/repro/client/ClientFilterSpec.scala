@@ -95,6 +95,19 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     assert(bits(1) === BitVec.tabulate(3)(Vector(false, true, true)))
   }
 
+  test("chunkBits sets the bit of every line with an escape, for every predicate") {
+    val cases = Seq(
+      """{"name":"a\/b"}"""  -> Clause(ExactMatch("name", "a/b")),
+      """{"name":"a\"b"}"""  -> Clause(ExactMatch("name", "a\"b")),
+      "{\"n\\u0061me\":\"x\"}" -> Clause(KeyPresence("name")))
+    cases.foreach { case (l, clause) =>
+      assert(clause.evalParsed(JsonParser.parseObject(l)), l)
+      val bits = ClientFilter.chunkBits(Vector("""{"other":1}""", l), Seq(0 -> clause, 1 -> Clause(KeyPresence("zzz"))))
+      assert(bits(0) === BitVec.tabulate(2)(_ == 1), l)
+      assert(bits(1) === BitVec.tabulate(2)(_ == 1), l)
+    }
+  }
+
   test("prefilter measures elapsed time and covers all chunks") {
     val lines  = Vector.tabulate(100)(i => s"""{"v":$i}""")
     val chunks = ClientFilter.chunk(lines, 30)

@@ -3,6 +3,7 @@ package repro.datasource
 import java.nio.file.Files
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.{Oracle, SparkSpec}
 import repro.client.ClientFilter
@@ -43,11 +44,15 @@ class CiaoDataSourceSpec extends SparkSpec {
   /** The fully parsed table (ground truth side for the oracle). */
   private def fullDf(ds: JsonDatasets.Dataset): DataFrame = {
     import scala.jdk.CollectionConverters._
+    val sparkSchema = CiaoDataSource.sparkSchema(ds.schema)
     val rows = ds.lines.map { l =>
-      val arr = TableSchema.extractRow(ds.schema, repro.json.JsonParser.parseObject(l))
-      org.apache.spark.sql.Row.fromSeq(arr.toIndexedSeq)
+      val r = TableSchema.extractRow(ds.schema, repro.json.JsonParser.parseObject(l))
+      org.apache.spark.sql.Row.fromSeq(r.toSeq(sparkSchema).map {
+        case s: UTF8String => s.toString
+        case v             => v
+      })
     }
-    spark.createDataFrame(rows.asJava, CiaoDataSource.sparkSchema(ds.schema))
+    spark.createDataFrame(rows.asJava, sparkSchema)
   }
 
   test("schema inference matches the store schema") {
@@ -154,6 +159,20 @@ class CiaoDataSourceSpec extends SparkSpec {
       assert(causes.exists(c => c.isInstanceOf[IllegalStateException] && c.getMessage.contains("sidecar")),
         s"delta=$delta: $e")
     }
+  }
+
+  test("a chunk planned with skip ids but without its sidecar fails the query") {
+    val ds     = JsonDatasets.yelp(1000, seed = 7)
+    val clause = Clause(KeyValueMatch("stars", "5"))
+    val chunks = ClientFilter.chunk(ds.lines, 500)
+    val bits   = chunks.map(ClientFilter.chunkBits(_, Seq(0 -> clause)))
+    val dir    = tmpDir("ciao-no-bits")
+    PartialLoader.loadPartial(dir, ds.schema, chunks, bits,
+      ChunkStore.Registry(Vector(ChunkStore.RegEntry(0, clause, 0.2, 0.1))))
+    Files.delete(java.nio.file.Paths.get(ChunkStore.bitsPath(dir, 0)))
+    val e = intercept[Exception](ciao(dir).where("stars = 5").count())
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+    assert(causes.exists(c => c.isInstanceOf[IllegalStateException] && c.getMessage.contains("sidecar")), s"$e")
   }
 
   test("missing path option fails loudly") {

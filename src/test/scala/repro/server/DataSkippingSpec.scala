@@ -112,6 +112,14 @@ class DataSkippingSpec extends AnyFunSuite {
     assert(DataSkipping.combinedBits(sidecar, Seq(0), 2) === sidecar(0))
   }
 
+  test("combinedBits fails loudly on a vector whose length is not the chunk's row count") {
+    val sidecar = Map(0 -> BitVec.full(4), 1 -> BitVec.full(5))
+    for (nRows <- Seq(3, 5)) {
+      val e = intercept[IllegalStateException](DataSkipping.combinedBits(sidecar, Seq(0, 1), nRows))
+      assert(e.getMessage.contains("sidecar"))
+    }
+  }
+
   test("combinedBits fails loudly on a missing sidecar entry") {
     intercept[IllegalStateException](DataSkipping.combinedBits(Map.empty, Seq(0), 2))
   }

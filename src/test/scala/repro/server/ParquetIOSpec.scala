@@ -4,10 +4,14 @@ import java.nio.file.{Files, Paths}
 
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.unsafe.types.UTF8String
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
-import repro.json.JsonParser
+import repro.datasource.CiaoDataSource
+import repro.json.{JsonParser, JsonValue}
 import TableSchema._
 
 /** Parquet Group-API chunk IO: write/read round-trips, nulls, ordering,
@@ -18,26 +22,20 @@ class ParquetIOSpec extends AnyFunSuite {
   import ParquetIOSpec._
 
   test("round-trips typed rows in order") {
-    val rows: Vector[Array[Any]] = Vector(
-      Array[Any]("alpha", java.lang.Long.valueOf(1L), java.lang.Double.valueOf(1.5), java.lang.Boolean.TRUE),
-      Array[Any]("beta", java.lang.Long.valueOf(-7L), java.lang.Double.valueOf(0.0), java.lang.Boolean.FALSE),
-      Array[Any]("gamma", java.lang.Long.valueOf(99L), java.lang.Double.valueOf(-2.25), java.lang.Boolean.TRUE))
+    val rows = Vector(
+      row("alpha", 1L, 1.5, true),
+      row("beta", -7L, 0.0, false),
+      row("gamma", 99L, -2.25, true))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
-    val got = ParquetIO.readChunk(path, schema)
-    assert(got.size === 3)
-    got.zip(rows).foreach { case (g, e) => assert(g.toSeq === e.toSeq) }
+    assert(ParquetIO.readChunk(path, schema) === rows)
   }
 
   test("round-trips nulls in any column") {
-    val rows: Vector[Array[Any]] = Vector(
-      Array[Any](null, java.lang.Long.valueOf(1L), null, java.lang.Boolean.TRUE),
-      Array[Any]("x", null, java.lang.Double.valueOf(2.0), null))
+    val rows = Vector(row(null, 1L, null, true), row("x", null, 2.0, null))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
-    val got = ParquetIO.readChunk(path, schema)
-    assert(got(0).toSeq === rows(0).toSeq)
-    assert(got(1).toSeq === rows(1).toSeq)
+    assert(ParquetIO.readChunk(path, schema) === rows)
   }
 
   test("round-trips an empty chunk") {
@@ -47,42 +45,36 @@ class ParquetIOSpec extends AnyFunSuite {
   }
 
   test("round-trips unicode and special characters in strings") {
-    val rows: Vector[Array[Any]] = Vector(
-      Array[Any]("héllo wörld ✓", java.lang.Long.valueOf(0L), java.lang.Double.valueOf(0), java.lang.Boolean.TRUE),
-      Array[Any]("quotes \" and \\ slashes", java.lang.Long.valueOf(0L), java.lang.Double.valueOf(0), java.lang.Boolean.FALSE))
+    val rows = unicodeStrings.map(row(_, 0L, 0.0, true))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
     val got = ParquetIO.readChunk(path, schema)
-    assert(got.map(_(0)) === rows.map(_(0)))
+    assert(got.map(_.getUTF8String(0).toString) === unicodeStrings)
   }
 
   test("streaming reader yields the same rows as eager read") {
-    val rows = Vector.tabulate(500) { i =>
-      Array[Any](s"row$i", java.lang.Long.valueOf(i.toLong), java.lang.Double.valueOf(i / 2.0),
-        java.lang.Boolean.valueOf(i % 2 == 0))
-    }
+    val rows = Vector.tabulate(500)(i => row(s"row$i", i.toLong, i / 2.0, i % 2 == 0))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
     val it  = new ParquetIO.ChunkRows(path, schema)
     val got = try it.toVector finally it.close()
     assert(got.size === 500)
-    assert(got(123).toSeq === rows(123).toSeq)
+    assert(got(123) === rows(123))
   }
 
   test("extractRow maps JSON fields by name and type") {
     val obj = JsonParser.parseObject("""{"l":42,"s":"hi","b":false,"d":2.5,"extra":1}""")
-    val row = TableSchema.extractRow(schema, obj)
-    assert(row.toSeq === Seq("hi", 42L, 2.5, false))
+    assert(TableSchema.extractRow(schema, obj) === row("hi", 42L, 2.5, false))
     for ((lexeme, value) <- Seq("9007199254740993" -> 9007199254740993L, "1e2" -> 100L)) {
       val r = TableSchema.extractRow(schema, JsonParser.parseObject(s"""{"l":$lexeme}"""))
-      assert(r(1) === value, lexeme)
+      assert(r.getLong(1) === value, lexeme)
     }
   }
 
   test("extractRow nulls missing and type-mismatched fields") {
     val obj = TableSchema.extractRow(schema, JsonParser.parseObject("""{"s":5,"l":"x","d":true}"""))
-    assert(obj.toSeq === Seq(null, null, null, null))
-    assert(TableSchema.extractRow(schema, JsonParser.parseObject("""{"l":1.7}""")).toSeq === Seq(null, null, null, null))
+    assert(obj === row(null, null, null, null))
+    assert(TableSchema.extractRow(schema, JsonParser.parseObject("""{"l":1.7}""")) === row(null, null, null, null))
   }
 
   test("writeChunk leaves no file but the chunk itself (no .crc)") {
@@ -118,13 +110,34 @@ object ParquetIOSpec {
   val schema: TableSchema = TableSchema(Vector(
     Col("s", CString), Col("l", CLong), Col("d", CDouble), Col("b", CBool)))
 
+  /** A row of `schema` from external values: a `String` becomes a
+    * `UTF8String`; `Long`, `Double`, `Boolean` and `null` are boxed as is.
+    */
+  def row(values: Any*): InternalRow =
+    new GenericInternalRow(values.map {
+      case s: String => UTF8String.fromString(s)
+      case v         => v
+    }.toArray)
+
+  /** The values of an internal row of `schema` as a Spark `Row` holds them. */
+  def external(r: InternalRow): Seq[Any] =
+    r.toSeq(CiaoDataSource.sparkSchema(schema)).map {
+      case s: UTF8String => s.toString
+      case v             => v
+    }
+
+  /** Multi-byte UTF-8, a character outside the BMP (a surrogate pair in a
+    * Java `String`), and JSON's escape characters.
+    */
+  val unicodeStrings: Vector[String] = Vector("héllo wörld ✓", "grin 😀 ok", "quotes \" and \\ slashes")
+
   /** Every column type, nulls included, and a long above 2^53. */
-  val sampleRows: Vector[Array[Any]] = Vector.tabulate(50) { i =>
-    Array[Any](
+  val sampleRows: Vector[InternalRow] = Vector.tabulate(50) { i =>
+    row(
       if (i % 7 == 0) null else s"row $i ✓",
-      if (i % 5 == 0) null else java.lang.Long.valueOf(9007199254740993L + i),
-      if (i % 3 == 0) null else java.lang.Double.valueOf(i * 0.25),
-      if (i % 4 == 0) null else java.lang.Boolean.valueOf(i % 2 == 0))
+      if (i % 5 == 0) null else 9007199254740993L + i,
+      if (i % 3 == 0) null else i * 0.25,
+      if (i % 4 == 0) null else i % 2 == 0)
   }
 
   def tmpFile(): String =
@@ -143,6 +156,17 @@ class ParquetIOSparkSpec extends SparkSpec {
     val df = spark.read.parquet(path)
     assert(df.columns.toSeq === schema.names)
     val got = df.collect().map(r => Seq.tabulate(r.length)(r.get))
-    assert(got.toSeq === sampleRows.map(_.toSeq))
+    assert(got.toSeq === sampleRows.map(external))
+  }
+
+  test("unicode strings read back equal through format(\"ciao\"), from Parquet and from raw JSON") {
+    val dir = Files.createTempDirectory("pio-ciao").toString
+    ChunkStore.init(dir)
+    ChunkStore.writeSchema(dir, schema)
+    ChunkStore.writeRegistry(dir, ChunkStore.Registry(Vector.empty))
+    ParquetIO.writeChunk(ChunkStore.parquetPath(dir, 0), schema, unicodeStrings.map(row(_, 0L, 0.0, true)))
+    ChunkStore.writeRawLines(ChunkStore.rawPath(dir, 1), unicodeStrings.map(s => s"""{"s":${JsonValue.quote(s)}}"""))
+    val got = spark.read.format("ciao").load(dir).collect().map(_.getString(0))
+    assert(got.sorted.toSeq === (unicodeStrings ++ unicodeStrings).sorted)
   }
 }

@@ -61,7 +61,7 @@ class PartialLoaderSpec extends AnyFunSuite {
           // true positives): typed recheck via parquet content
           val starsIdx = ds.schema.names.indexOf("stars")
           rows.indices.foreach { i =>
-            val isFive = rows(i)(starsIdx) == java.lang.Long.valueOf(5L)
+            val isFive = !rows(i).isNullAt(starsIdx) && rows(i).getLong(starsIdx) == 5L
             if (isFive) assert(sidecar(0).get(i), "no false negatives survive loading")
           }
         case _ => ()
