@@ -61,7 +61,7 @@ class ParquetIOBench extends AnyFunSuite {
       val write = median(timed.map(_._1))
       val read  = median(timed.map(_._2))
       val scan  = median(timed.map(_._3))
-      println(f"== ParquetIO per-chunk cost: ${rows.size} rows x ${schema.cols.size} cols, " +
+      println(f"== ParquetIO per-chunk cost: ${rows.size} rows x ${schema.size} cols, " +
         f"${timed.head._4}%,d B, median of $Runs after $Warmup warm-up ==")
       println(f"writeChunk            $write%8.2f ms")
       println(f"ChunkRows open+drain  $read%8.2f ms")

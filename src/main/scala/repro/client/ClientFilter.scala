@@ -12,15 +12,16 @@ import repro.core._
   */
 object ClientFilter {
 
-  /** Evaluate one atom against one raw JSON line using only string search. */
+  /** Evaluate one atom against one raw JSON line using only string search
+    * for the atom's Table I [[Atom.patterns]].
+    */
   def matchAtom(line: String, atom: Atom): Boolean = atom match {
-    case ExactMatch(_, value)    => line.indexOf("\"" + value + "\"") >= 0
-    case SubstringMatch(_, value) => line.indexOf(value) >= 0
-    case KeyPresence(attr)       => line.indexOf("\"" + attr + "\"") >= 0
-    case KeyValueMatch(attr, lit) =>
+    case kv: KeyValueMatch =>
       // Search the quoted key; if found, look for the literal between the
-      // key and the next field delimiter (',' or the closing '}').
-      val keyPat = "\"" + attr + "\""
+      // key and the next field delimiter (',' or the closing '}'). A number
+      // literal also matches a window with an exponent (`1e2` for `100`),
+      // and any window when it is not its own plain spelling.
+      val keyPat = kv.patterns.head
       var from   = 0
       var found  = false
       while (!found && from <= line.length) {
@@ -32,12 +33,20 @@ object ClientFilter {
           if (end < 0) end = line.length
           val brace = line.indexOf('}', windowStart)
           if (brace >= 0 && brace < end) end = brace
-          val idx = line.indexOf(lit, windowStart)
-          if (idx >= 0 && idx + lit.length <= end) found = true
+          val idx = line.indexOf(kv.literal, windowStart)
+          found = idx >= 0 && idx + kv.literal.length <= end ||
+            kv.isNumber && (!kv.plainSpelling || hasExponent(line, windowStart, end))
           from = windowStart
         }
       }
       found
+    case _ => line.indexOf(atom.patterns.head) >= 0
+  }
+
+  private def hasExponent(line: String, from: Int, until: Int): Boolean = {
+    var i = from
+    while (i < until && line.charAt(i) != 'e' && line.charAt(i) != 'E') i += 1
+    i < until
   }
 
   /** Evaluate a disjunctive clause: OR over its atoms. */

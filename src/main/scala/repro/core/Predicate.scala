@@ -17,6 +17,7 @@ sealed trait Atom {
   /** Pattern strings the client searches for, exactly as in Table I.
     * String values appear quoted in the raw JSON text, so the pattern for an
     * exact match of `name = "Bob"` is `"Bob"` *including* the quotes.
+    * Built once per atom; the client matcher searches for these strings.
     */
   def patterns: Seq[String]
 
@@ -34,7 +35,7 @@ sealed trait Atom {
 
 /** `attr = 'value'` on a string attribute; pattern = the quoted operand. */
 final case class ExactMatch(attr: String, value: String) extends Atom {
-  def patterns: Seq[String] = Seq("\"" + value + "\"")
+  val patterns: Seq[String] = Seq("\"" + value + "\"")
   def sql: String           = s"$attr = '${value.replace("'", "''")}'"
   def evalParsed(obj: JObj): Boolean = obj.get(attr).contains(JStr(value))
   def canonical: String     = s"exact:$attr=$value"
@@ -42,7 +43,7 @@ final case class ExactMatch(attr: String, value: String) extends Atom {
 
 /** `attr LIKE '%value%'`; pattern = the raw substring. */
 final case class SubstringMatch(attr: String, value: String) extends Atom {
-  def patterns: Seq[String] = Seq(value)
+  val patterns: Seq[String] = Seq(value)
   def sql: String           = s"$attr LIKE '%${value.replace("'", "''")}%'"
   def evalParsed(obj: JObj): Boolean = obj.get(attr) match {
     case Some(JStr(s)) => s.contains(value)
@@ -53,7 +54,7 @@ final case class SubstringMatch(attr: String, value: String) extends Atom {
 
 /** `attr IS NOT NULL`; pattern = the quoted key. */
 final case class KeyPresence(attr: String) extends Atom {
-  def patterns: Seq[String] = Seq("\"" + attr + "\"")
+  val patterns: Seq[String] = Seq("\"" + attr + "\"")
   def sql: String           = s"$attr IS NOT NULL"
   def evalParsed(obj: JObj): Boolean = obj.get(attr).exists(_ != JNull)
   def canonical: String     = s"present:$attr"
@@ -66,7 +67,14 @@ final case class KeyPresence(attr: String) extends Atom {
   * distinct) and falls back to lexeme equality for a non-numeric literal.
   */
 final case class KeyValueMatch(attr: String, literal: String) extends Atom {
-  def patterns: Seq[String] = Seq("\"" + attr + "\"", literal)
+  val patterns: Seq[String] = Seq("\"" + attr + "\"", literal)
+  /** A number literal; every equal number without an exponent contains it
+    * (`100.0` and `-0` contain `100` and `0`) iff it is its own shortest
+    * plain spelling (`plainSpelling`: not `1e2`, `1.50` or `-0`).
+    */
+  val isNumber: Boolean      = KeyValueMatch.decimal(literal).isDefined
+  val plainSpelling: Boolean = KeyValueMatch.decimal(literal).forall(_.stripTrailingZeros.toPlainString == literal)
+
   def sql: String           = s"$attr = $literal"
   def evalParsed(obj: JObj): Boolean = obj.get(attr) match {
     case Some(JNum(raw)) => (KeyValueMatch.decimal(raw), KeyValueMatch.decimal(literal)) match {

@@ -7,7 +7,7 @@ import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapabil
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources.{DataSourceRegister, Filter}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.types.StructType
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
 import repro.core.BitVec
@@ -33,31 +33,27 @@ class CiaoDataSource extends TableProvider with DataSourceRegister {
   override def supportsExternalMetadata(): Boolean = true
 
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
-    CiaoDataSource.sparkSchema(ChunkStore.readSchema(CiaoDataSource.dirFrom(options)))
+    ChunkStore.readSchema(CiaoDataSource.dirFrom(options))
 
+  /** The table in `schema`, which is the stored schema or a user-given one
+    * that orders or subsets the stored fields; a field whose name, type or
+    * nullability matches no stored field fails here, at load.
+    */
   override def getTable(schema: StructType, partitioning: Array[Transform], properties: JMap[String, String]): Table = {
-    val dir = Option(properties.get("path"))
-      .getOrElse(throw new IllegalArgumentException("ciao source requires a path option"))
+    val dir    = CiaoDataSource.dirFrom(properties)
+    val stored = ChunkStore.readSchema(dir)
+    val absent = schema.fields.filterNot(f =>
+      stored.fields.exists(s => s.name == f.name && s.dataType == f.dataType && s.nullable == f.nullable))
+    require(absent.isEmpty,
+      s"ciao store $dir has no column ${absent.map(_.toDDL).mkString(", ")}; its schema is ${stored.toDDL}")
     new CiaoTable(dir, schema)
   }
 }
 
 object CiaoDataSource {
-  def dirFrom(options: CaseInsensitiveStringMap): String =
+  def dirFrom(options: JMap[String, String]): String =
     Option(options.get("path"))
       .getOrElse(throw new IllegalArgumentException("ciao source requires a path option"))
-
-  /** Map the store schema to a Spark schema (all columns nullable). */
-  def sparkSchema(schema: TableSchema): StructType =
-    StructType(schema.cols.map { c =>
-      val dt = c.tpe match {
-        case TableSchema.CString => StringType
-        case TableSchema.CLong   => LongType
-        case TableSchema.CDouble => DoubleType
-        case TableSchema.CBool   => BooleanType
-      }
-      StructField(c.name, dt, nullable = true)
-    })
 }
 
 /** Batch-readable table over one CIAO store directory. */
@@ -102,16 +98,15 @@ class CiaoScan(dir: String, schema: StructType, matchedIds: Array[Int]) extends 
     s"CiaoScan(dir=$dir, skippingPredicates=${matchedIds.mkString("[", ",", "]")})"
 
   override def planInputPartitions(): Array[InputPartition] = {
-    val chunks      = ChunkStore.listChunks(dir)
-    val tableSchema = ChunkStore.readSchema(dir)
+    val chunks = ChunkStore.listChunks(dir)
     val parquetParts: Array[InputPartition] = chunks.flatMap { c =>
-      c.parquet.map(p => ParquetChunkPartition(p, c.bits, matchedIds, tableSchema): InputPartition)
+      c.parquet.map(p => ParquetChunkPartition(p, c.bits, matchedIds, schema): InputPartition)
     }.toArray
     if (matchedIds.nonEmpty) parquetParts
     else {
       // No pushed predicate in this query: raw JSON must be scanned too.
       val rawParts: Array[InputPartition] =
-        chunks.flatMap(c => c.raw.map(p => RawChunkPartition(p, tableSchema): InputPartition)).toArray
+        chunks.flatMap(c => c.raw.map(p => RawChunkPartition(p, schema): InputPartition)).toArray
       parquetParts ++ rawParts
     }
   }
@@ -119,16 +114,18 @@ class CiaoScan(dir: String, schema: StructType, matchedIds: Array[Int]) extends 
   override def createReaderFactory(): PartitionReaderFactory = new CiaoReaderFactory
 }
 
-/** A loaded Parquet chunk (+ optional sidecar bit-vectors). */
+/** A loaded Parquet chunk (+ optional sidecar bit-vectors), read into rows
+  * of the scan's schema.
+  */
 final case class ParquetChunkPartition(
     parquetPath: String,
     bitsPath: Option[String],
     skipIds: Array[Int],
-    tableSchema: TableSchema,
+    schema: StructType,
 ) extends InputPartition
 
-/** An unloaded raw-JSON chunk, parsed just-in-time. */
-final case class RawChunkPartition(rawPath: String, tableSchema: TableSchema) extends InputPartition
+/** An unloaded raw-JSON chunk, parsed just-in-time into rows of the scan's schema. */
+final case class RawChunkPartition(rawPath: String, schema: StructType) extends InputPartition
 
 class CiaoReaderFactory extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
@@ -148,7 +145,7 @@ class CiaoReaderFactory extends PartitionReaderFactory {
   * them.
   */
 class ParquetChunkReader(p: ParquetChunkPartition) extends PartitionReader[InternalRow] {
-  private val rows = new ParquetIO.ChunkRows(p.parquetPath, p.tableSchema)
+  private val rows = new ParquetIO.ChunkRows(p.parquetPath, p.schema)
   private val combined: Option[BitVec] =
     if (p.skipIds.isEmpty) None
     else {
@@ -182,7 +179,7 @@ class RawChunkReader(p: RawChunkPartition) extends PartitionReader[InternalRow] 
   override def next(): Boolean = {
     if (!lines.hasNext) false
     else {
-      current = TableSchema.extractRow(p.tableSchema, JsonParser.parseObject(lines.next()))
+      current = TableSchema.extractRow(p.schema, JsonParser.parseObject(lines.next()))
       true
     }
   }

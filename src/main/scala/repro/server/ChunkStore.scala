@@ -4,6 +4,8 @@ import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, Data
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
 
+import org.apache.spark.sql.types.{DataType, StructType}
+
 import repro.core._
 import repro.json._
 
@@ -11,7 +13,7 @@ import repro.json._
   *
   * {{{
   * <dir>/registry.json          pushed predicates: id, clause, sel, cost
-  * <dir>/schema.json            flat column schema of the Parquet chunks
+  * <dir>/schema.json            table schema: Spark's `StructType` JSON
   * <dir>/chunks/chunk-00000.parquet   loaded tuples (may be absent if none)
   * <dir>/chunks/chunk-00000.bits      sidecar bit-vectors over loaded rows
   * <dir>/chunks/chunk-00000.raw       unloaded raw JSON lines (may be absent)
@@ -22,7 +24,6 @@ import repro.json._
   * filters to sidecar bit-vector ids.
   */
 object ChunkStore {
-  import TableSchema._
 
   /** One pushed-down predicate in the registry. */
   final case class RegEntry(id: Int, clause: Clause, sel: Double, cost: Double)
@@ -58,16 +59,15 @@ object ChunkStore {
     ()
   }
 
-  /** Enumerate chunks by id from the files present in `chunks/`. */
+  private val ChunkFile = "chunk-(\\d+)\\.(parquet|bits|raw)".r
+
+  /** Enumerate chunks by id from one listing of the files in `chunks/`. */
   def listChunks(dir: String): Vector[ChunkFiles] = {
-    val d     = new File(chunksDir(dir))
-    val files = Option(d.listFiles()).getOrElse(Array.empty[File]).map(_.getName)
-    val ids   = files.flatMap { n =>
-      "chunk-(\\d+)\\.(parquet|bits|raw)".r.findFirstMatchIn(n).map(_.group(1).toInt)
-    }.distinct.sorted
-    ids.toVector.map { i =>
-      def opt(p: String) = if (new File(p).exists()) Some(p) else None
-      ChunkFiles(i, opt(parquetPath(dir, i)), opt(bitsPath(dir, i)), opt(rawPath(dir, i)))
+    val names = Option(new File(chunksDir(dir)).list()).getOrElse(Array.empty[String])
+    val parts = names.toVector.collect { case n @ ChunkFile(id, ext) => (id.toInt, ext, s"${chunksDir(dir)}/$n") }
+    parts.groupBy(_._1).toVector.sortBy(_._1).map { case (i, files) =>
+      def part(ext: String) = files.collectFirst { case (_, `ext`, p) => p }
+      ChunkFiles(i, part("parquet"), part("bits"), part("raw"))
     }
   }
 
@@ -122,33 +122,16 @@ object ChunkStore {
     Registry(entries.toVector)
   }
 
-  // ---- schema codec (schema.json) ----
+  // ---- schema.json: Spark's StructType JSON ----
 
-  private def typeName(t: ColType): String = t match {
-    case CString => "string"; case CLong => "long"; case CDouble => "double"; case CBool => "boolean"
-  }
-  private def typeOf(n: String): ColType = n match {
-    case "string" => CString; case "long" => CLong; case "double" => CDouble; case "boolean" => CBool
-    case other    => throw new IllegalArgumentException(s"unknown column type '$other'")
-  }
-
-  def writeSchema(dir: String, schema: TableSchema): Unit = {
-    val json = JObj(Vector(
-      "cols" -> JArr(schema.cols.map(c =>
-        JObj(Vector("name" -> JStr(c.name), "type" -> JStr(typeName(c.tpe)))): JsonValue)),
-    ))
-    Files.write(Paths.get(schemaPath(dir)), json.render.getBytes(StandardCharsets.UTF_8))
+  def writeSchema(dir: String, schema: StructType): Unit = {
+    Files.write(Paths.get(schemaPath(dir)), schema.json.getBytes(StandardCharsets.UTF_8))
     ()
   }
 
-  def readSchema(dir: String): TableSchema = {
-    val text = new String(Files.readAllBytes(Paths.get(schemaPath(dir))), StandardCharsets.UTF_8)
-    val root = JsonParser.parseObject(text)
-    TableSchema(root("cols").asInstanceOf[JArr].items.map { c =>
-      val o = c.asInstanceOf[JObj]
-      Col(o("name").asInstanceOf[JStr].value, typeOf(o("type").asInstanceOf[JStr].value))
-    }.toVector)
-  }
+  def readSchema(dir: String): StructType =
+    DataType.fromJson(new String(Files.readAllBytes(Paths.get(schemaPath(dir))), StandardCharsets.UTF_8))
+      .asInstanceOf[StructType]
 
   // ---- sidecar bit-vector IO ----
 

@@ -15,44 +15,34 @@ import org.apache.parquet.schema.{LogicalTypeAnnotation, MessageType, Types}
 import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType, StringType, StructType}
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.json.{JBool, JNum, JObj, JStr}
 
-/** Flat table schema of a CIAO store (the columns queries touch).
-  * A row is a Catalyst `InternalRow` aligned with `cols`, from JSON
-  * extraction through the Parquet chunk to the scan: each value is `null`,
-  * a `UTF8String`, or a boxed `java.lang.Long`, `java.lang.Double` or
-  * `java.lang.Boolean`.
+/** A row of a CIAO store is a Catalyst `InternalRow` aligned with the
+  * fields of a Spark `StructType`, from JSON extraction through the Parquet
+  * chunk to the scan: each value is `null`, a `UTF8String`, or a boxed
+  * `java.lang.Long`, `java.lang.Double` or `java.lang.Boolean`, for a
+  * `StringType`, `LongType`, `DoubleType` or `BooleanType` field.
   */
-final case class TableSchema(cols: Vector[TableSchema.Col]) extends Serializable {
-  def names: Vector[String] = cols.map(_.name)
-}
-
 object TableSchema {
-  sealed trait ColType extends Serializable
-  case object CString extends ColType
-  case object CLong   extends ColType
-  case object CDouble extends ColType
-  case object CBool   extends ColType
 
-  final case class Col(name: String, tpe: ColType) extends Serializable
-
-  /** Extract the schema's columns from a parsed JSON object; absent or
-    * type-mismatched fields become null (JSON is schemaless on the wire),
+  /** Extract the schema's fields, by name, from a parsed JSON object; absent
+    * or type-mismatched fields become null (JSON is schemaless on the wire),
     * and so does a number in a long column that is not an exact `Long`.
     */
-  def extractRow(schema: TableSchema, obj: JObj): GenericInternalRow =
-    new GenericInternalRow(schema.cols.map { col =>
-      (obj.get(col.name), col.tpe) match {
-        case (Some(JStr(s)), CString)  => UTF8String.fromString(s)
-        case (Some(n: JNum), CLong)    =>
+  def extractRow(schema: StructType, obj: JObj): GenericInternalRow =
+    new GenericInternalRow(schema.fields.map[Any] { f =>
+      (obj.get(f.name), f.dataType) match {
+        case (Some(JStr(s)), StringType)   => UTF8String.fromString(s)
+        case (Some(n: JNum), LongType)     =>
           try java.lang.Long.valueOf(n.toLong) catch { case _: ArithmeticException => null }
-        case (Some(JNum(r)), CDouble)  => java.lang.Double.valueOf(r.toDouble)
-        case (Some(JBool(b)), CBool)   => java.lang.Boolean.valueOf(b)
-        case _                         => null
+        case (Some(JNum(r)), DoubleType)   => java.lang.Double.valueOf(r.toDouble)
+        case (Some(JBool(b)), BooleanType) => java.lang.Boolean.valueOf(b)
+        case _                             => null
       }
-    }.toArray[Any])
+    })
 }
 
 /** Parquet chunk files written and read through parquet-mr's `Group` API
@@ -65,28 +55,31 @@ object TableSchema {
   * keeps the sidecar bit-vectors aligned by row index.
   */
 object ParquetIO {
-  import TableSchema._
 
-  /** Parquet message type for a table schema (all fields optional). */
-  def messageType(schema: TableSchema): MessageType = {
+  /** Parquet message type for a table schema (all fields optional); a field
+    * of any type but string, long, double or boolean is rejected by name.
+    */
+  def messageType(schema: StructType): MessageType = {
     val b = Types.buildMessage()
-    schema.cols.foreach { col =>
-      col.tpe match {
-        case CString =>
+    schema.fields.foreach { f =>
+      f.dataType match {
+        case StringType  =>
           b.addField(Types.optional(PrimitiveTypeName.BINARY)
-            .as(LogicalTypeAnnotation.stringType()).named(col.name))
-        case CLong   => b.addField(Types.optional(PrimitiveTypeName.INT64).named(col.name))
-        case CDouble => b.addField(Types.optional(PrimitiveTypeName.DOUBLE).named(col.name))
-        case CBool   => b.addField(Types.optional(PrimitiveTypeName.BOOLEAN).named(col.name))
+            .as(LogicalTypeAnnotation.stringType()).named(f.name))
+        case LongType    => b.addField(Types.optional(PrimitiveTypeName.INT64).named(f.name))
+        case DoubleType  => b.addField(Types.optional(PrimitiveTypeName.DOUBLE).named(f.name))
+        case BooleanType => b.addField(Types.optional(PrimitiveTypeName.BOOLEAN).named(f.name))
+        case other       =>
+          throw new IllegalArgumentException(s"column ${f.name} has type ${other.sql}; a store holds STRING, BIGINT, DOUBLE or BOOLEAN")
       }
     }
     b.named("ciao_chunk")
   }
 
-  /** Write one chunk file; rows align with `schema.cols`, and each string
+  /** Write one chunk file; rows align with `schema.fields`, and each string
     * is written as its UTF-8 bytes. Fails if `path` already exists.
     */
-  def writeChunk(path: String, schema: TableSchema, rows: Iterable[InternalRow]): Unit = {
+  def writeChunk(path: String, schema: StructType, rows: Iterable[InternalRow]): Unit = {
     val msgType = messageType(schema)
     val writer = ExampleParquetWriter.builder(new LocalOutputFile(Paths.get(path)))
       .withConf(new PlainParquetConfiguration())
@@ -94,16 +87,16 @@ object ParquetIO {
       .build()
     try {
       val factory = new SimpleGroupFactory(msgType)
-      val types   = schema.cols.map(_.tpe).toArray
+      val types   = schema.fields.map(_.dataType)
       rows.foreach { row =>
         val g = factory.newGroup()
         var i = 0
         while (i < types.length) {
           if (!row.isNullAt(i)) types(i) match {
-            case CString => g.add(i, Binary.fromConstantByteArray(row.getUTF8String(i).getBytes))
-            case CLong   => g.add(i, row.getLong(i))
-            case CDouble => g.add(i, row.getDouble(i))
-            case CBool   => g.add(i, row.getBoolean(i))
+            case StringType  => g.add(i, Binary.fromConstantByteArray(row.getUTF8String(i).getBytes))
+            case LongType    => g.add(i, row.getLong(i))
+            case DoubleType  => g.add(i, row.getDouble(i))
+            case BooleanType => g.add(i, row.getBoolean(i))
           }
           i += 1
         }
@@ -113,17 +106,18 @@ object ParquetIO {
   }
 
   /** Streaming reader over a chunk file, one row group at a time; call
-    * [[ChunkRows.close]] when done. Each column's field is looked up by name
-    * in the file's own schema once, when the file opens. A missing file
-    * fails the constructor.
+    * [[ChunkRows.close]] when done. Rows align with `schema`, which may
+    * order or subset the file's columns: each field is looked up by name in
+    * the file's own schema once, when the file opens. A missing file fails
+    * the constructor.
     */
-  final class ChunkRows(path: String, schema: TableSchema) extends Iterator[InternalRow] with AutoCloseable {
+  final class ChunkRows(path: String, schema: StructType) extends Iterator[InternalRow] with AutoCloseable {
     private val reader = ParquetFileReader.open(new LocalInputFile(Paths.get(path)),
       ParquetReadOptions.builder(new PlainParquetConfiguration()).build())
     private val fileSchema = reader.getFooter.getFileMetaData.getSchema
     private val columnIO   = new ColumnIOFactory().getColumnIO(fileSchema)
-    private val types      = schema.cols.map(_.tpe).toArray
-    private val fields     = schema.cols.map(c => fileSchema.getFieldIndex(c.name)).toArray
+    private val types      = schema.fields.map(_.dataType)
+    private val fields     = schema.fields.map(f => fileSchema.getFieldIndex(f.name))
     private var records: RecordReader[Group] = _
     private var left = 0L // rows not yet read from the current row group
 
@@ -148,10 +142,10 @@ object ParquetIO {
         val f = fields(i)
         if (g.getFieldRepetitionCount(f) == 0) null
         else types(i) match {
-          case CString => UTF8String.fromBytes(g.getBinary(f, 0).getBytes)
-          case CLong   => java.lang.Long.valueOf(g.getLong(f, 0))
-          case CDouble => java.lang.Double.valueOf(g.getDouble(f, 0))
-          case CBool   => java.lang.Boolean.valueOf(g.getBoolean(f, 0))
+          case StringType  => UTF8String.fromBytes(g.getBinary(f, 0).getBytes)
+          case LongType    => java.lang.Long.valueOf(g.getLong(f, 0))
+          case DoubleType  => java.lang.Double.valueOf(g.getDouble(f, 0))
+          case BooleanType => java.lang.Boolean.valueOf(g.getBoolean(f, 0))
         }
       })
     }
@@ -160,7 +154,7 @@ object ParquetIO {
   }
 
   /** Read a whole chunk eagerly (tests / small chunks). */
-  def readChunk(path: String, schema: TableSchema): Vector[InternalRow] = {
+  def readChunk(path: String, schema: StructType): Vector[InternalRow] = {
     val it = new ChunkRows(path, schema)
     try it.toVector finally it.close()
   }

@@ -1,5 +1,7 @@
 package repro.server
 
+import org.apache.spark.sql.types.StructType
+
 import repro.core._
 import repro.json.JsonParser
 
@@ -33,7 +35,7 @@ object PartialLoader {
     * `bitsPerChunk`. With an empty registry this degrades to a full load.
     */
   def loadPartial(dir: String,
-                  schema: TableSchema,
+                  schema: StructType,
                   chunks: IndexedSeq[IndexedSeq[String]],
                   bitsPerChunk: IndexedSeq[Map[Int, BitVec]],
                   registry: ChunkStore.Registry): LoadStats =
@@ -45,7 +47,7 @@ object PartialLoader {
     * client bit-vectors (if any) for data skipping without partial loading.
     */
   def loadFull(dir: String,
-               schema: TableSchema,
+               schema: StructType,
                chunks: IndexedSeq[IndexedSeq[String]],
                bitsPerChunk: IndexedSeq[Map[Int, BitVec]],
                registry: ChunkStore.Registry): LoadStats =
@@ -53,7 +55,7 @@ object PartialLoader {
 
   /** The loader loop; `keep(nRows, bits)` is a chunk's keep-mask. */
   private def load(dir: String,
-                   schema: TableSchema,
+                   schema: StructType,
                    chunks: IndexedSeq[IndexedSeq[String]],
                    bitsPerChunk: IndexedSeq[Map[Int, BitVec]],
                    registry: ChunkStore.Registry)

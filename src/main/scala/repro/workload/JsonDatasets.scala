@@ -2,8 +2,7 @@ package repro.workload
 
 import java.util.Random
 
-import repro.server.TableSchema
-import repro.server.TableSchema._
+import org.apache.spark.sql.types.{BooleanType, LongType, StringType, StructType}
 
 /** Synthetic stand-ins for the paper's three JSON datasets (§VII-B).
   *
@@ -17,7 +16,7 @@ import repro.server.TableSchema._
 object JsonDatasets {
 
   /** A generated dataset: raw JSON lines + the flat schema of its queryable columns. */
-  final case class Dataset(name: String, lines: Vector[String], schema: TableSchema) {
+  final case class Dataset(name: String, lines: Vector[String], schema: StructType) {
     def avgLineLength: Double =
       if (lines.isEmpty) 0.0 else lines.map(_.length.toLong).sum.toDouble / lines.size
   }
@@ -55,10 +54,10 @@ object JsonDatasets {
         s""""useful":$useful,"funny":$funny,"cool":$cool,"text":"$text",""" +
         f""""date":"$year%04d-$month%02d-$day%02d"}"""
     }
-    Dataset("yelp", lines, TableSchema(Vector(
-      Col("review_id", CString), Col("user_id", CString), Col("business_id", CString),
-      Col("stars", CLong), Col("useful", CLong), Col("funny", CLong), Col("cool", CLong),
-      Col("text", CString), Col("date", CString))))
+    Dataset("yelp", lines, new StructType()
+      .add("review_id", StringType).add("user_id", StringType).add("business_id", StringType)
+      .add("stars", LongType).add("useful", LongType).add("funny", LongType).add("cool", LongType)
+      .add("text", StringType).add("date", StringType))
   }
 
   /** Keywords for `info LIKE <string>` (200 candidates, Zipf-ish frequency). */
@@ -94,8 +93,8 @@ object JsonDatasets {
       val info  = s"Session $sid handled by $comp worker $kw completed with status ${rnd.nextInt(10)}"
       f"""{"ts":"2016-$month%02d-$day%02d $hour%02d:$min%02d:$sec%02d,$ms%03d","level":"$level","component":"$comp","info":"$info"}"""
     }
-    Dataset("winlog", lines, TableSchema(Vector(
-      Col("ts", CString), Col("level", CString), Col("component", CString), Col("info", CString))))
+    Dataset("winlog", lines, new StructType()
+      .add("ts", StringType).add("level", StringType).add("component", StringType).add("info", StringType))
   }
 
   val YcsbCountries: Vector[String] = Vector("US", "CN", "IN")
@@ -141,11 +140,11 @@ object JsonDatasets {
         s""""balance":${rnd.nextInt(100000)},"points":${rnd.nextInt(1000)},""" +
         f""""registered":"20${10 + rnd.nextInt(10)}%02d-${1 + rnd.nextInt(12)}%02d-${1 + rnd.nextInt(28)}%02d"}"""
     }
-    Dataset("ycsb", lines, TableSchema(Vector(
-      Col("id", CString), Col("name", CString), Col("isActive", CBool),
-      Col("linear_score", CLong), Col("weighted_score", CLong),
-      Col("phone_country", CString), Col("age_group", CString), Col("age_by_group", CLong),
-      Col("url_domain", CString), Col("url_site", CString), Col("email", CString))))
+    Dataset("ycsb", lines, new StructType()
+      .add("id", StringType).add("name", StringType).add("isActive", BooleanType)
+      .add("linear_score", LongType).add("weighted_score", LongType)
+      .add("phone_country", StringType).add("age_group", StringType).add("age_by_group", LongType)
+      .add("url_domain", StringType).add("url_site", StringType).add("email", StringType))
   }
 
   /** Generator by dataset name (job entrypoints). */

@@ -53,6 +53,25 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     assert(!ClientFilter.matchAtom(line, KeyValueMatch("name", "22")))
   }
 
+  test("key-value match on a number finds spellings with an exponent or a fraction") {
+    for (l <- Seq("""{"x":1e2}""", """{"x":1E+2}""", """{"x":0.1e3}""", """{"x":100.0}""", """{"x" : 1e2 ,"y":1}""")) {
+      assert(KeyValueMatch("x", "100").evalParsed(JsonParser.parseObject(l)), l)
+      assert(ClientFilter.matchAtom(l, KeyValueMatch("x", "100")), l)
+      assert(ClientFilter.chunkBits(Vector(l), Seq(0 -> Clause(KeyValueMatch("x", "100"))))(0).get(0), l)
+    }
+    assert(!ClientFilter.matchAtom("""{"x":1e2,"y":100}""", KeyValueMatch("y", "5")))
+    assert(!ClientFilter.matchAtom("""{"isActive":true}""", KeyValueMatch("isActive", "false")),
+      "a boolean literal keeps the plain literal search")
+  }
+
+  test("key-value match on a number literal not in plain spelling matches every value of its key") {
+    for (lit <- Seq("1e2", "100.0", "-0")) {
+      assert(ClientFilter.matchAtom("""{"x":7}""", KeyValueMatch("x", lit)), lit)
+      assert(!ClientFilter.matchAtom("""{"y":7}""", KeyValueMatch("x", lit)), lit)
+    }
+    assert(ClientFilter.matchAtom("""{"x":0}""", KeyValueMatch("x", "-0")))
+  }
+
   test("key-value false positive: substring of the value matches (allowed)") {
     assert(ClientFilter.matchAtom(line, KeyValueMatch("age", "2")),
       "client-side matching is allowed to over-approximate")
@@ -121,15 +140,18 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
 
   // ---- THE property: no false negatives ----
 
-  private def noFalseNegative(lines: Seq[String], atoms: Seq[Atom]): Unit =
-    lines.foreach { l =>
-      val obj = JsonParser.parseObject(l)
-      atoms.foreach { a =>
-        if (a.evalParsed(obj))
-          assert(ClientFilter.matchAtom(l, a),
-            s"FALSE NEGATIVE: typed says true, client says false for $a on $l")
+  /** Every atom true on a parsed line has its bit set by `chunkBits`. */
+  private def noFalseNegative(lines: Seq[String], atoms: Seq[Atom]): Unit = {
+    val bits = ClientFilter.chunkBits(lines.toVector, atoms.indices.map(i => i -> Clause(atoms(i))))
+    lines.indices.foreach { r =>
+      val obj = JsonParser.parseObject(lines(r))
+      atoms.indices.foreach { i =>
+        if (atoms(i).evalParsed(obj))
+          assert(bits(i).get(r),
+            s"FALSE NEGATIVE: typed says true, client says false for ${atoms(i)} on ${lines(r)}")
       }
     }
+  }
 
   test("no false negatives on the yelp generator (all pool atom kinds)") {
     val ds = JsonDatasets.yelp(400, seed = 5)
@@ -158,18 +180,23 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     noFalseNegative(ds.lines, atoms)
   }
 
-  private val objGen: Gen[(String, String, Long)] = for {
-    name <- Gen.alphaStr.map(_.take(8)).suchThat(_.nonEmpty)
-    word <- Gen.alphaLowerStr.map(_.take(6)).suchThat(_.nonEmpty)
-    age  <- Gen.choose(0L, 120L)
-  } yield (name, word, age)
+  /** (name, word, age, the `"age":…` field): the age is spelled `a`,
+    * `a.0` or `ae0`, sometimes with spaces around the colon.
+    */
+  private val objGen: Gen[(String, String, Long, String)] = for {
+    name  <- Gen.alphaStr.map(_.take(8)).suchThat(_.nonEmpty)
+    word  <- Gen.alphaLowerStr.map(_.take(6)).suchThat(_.nonEmpty)
+    age   <- Gen.choose(0L, 120L)
+    value <- Gen.oneOf(s"$age", s"$age.0", s"${age}e0")
+    colon <- Gen.oneOf(":", ":", " : ", ": ")
+  } yield (name, word, age, s""""age"$colon$value""")
 
   test("property: no false negatives on randomly generated flat objects") {
     forAllSamples(Gen.listOfN(5, objGen), n = 60) { objs =>
-      val lines = objs.map { case (n, w, a) =>
-        s"""{"name":"$n","note":"some $w here","age":$a}"""
+      val lines = objs.map { case (n, w, _, age) =>
+        s"""{"name":"$n","note":"some $w here",$age}"""
       }
-      val atoms = objs.flatMap { case (n, w, a) =>
+      val atoms = objs.flatMap { case (n, w, a, _) =>
         Seq[Atom](ExactMatch("name", n), SubstringMatch("note", w),
           KeyValueMatch("age", a.toString), KeyPresence("note"))
       }
@@ -179,7 +206,7 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
 
   test("property: clause-level no false negatives under disjunction") {
     forAllSamples(Gen.listOfN(4, objGen), n = 40) { objs =>
-      val lines = objs.map { case (n, w, a) => s"""{"name":"$n","note":"$w","age":$a}""" }
+      val lines = objs.map { case (n, w, _, age) => s"""{"name":"$n","note":"$w",$age}""" }
       val clause = Clause(
         ExactMatch("name", objs.head._1),
         KeyValueMatch("age", objs.last._3.toString))

@@ -44,20 +44,42 @@ class CiaoDataSourceSpec extends SparkSpec {
   /** The fully parsed table (ground truth side for the oracle). */
   private def fullDf(ds: JsonDatasets.Dataset): DataFrame = {
     import scala.jdk.CollectionConverters._
-    val sparkSchema = CiaoDataSource.sparkSchema(ds.schema)
     val rows = ds.lines.map { l =>
       val r = TableSchema.extractRow(ds.schema, repro.json.JsonParser.parseObject(l))
-      org.apache.spark.sql.Row.fromSeq(r.toSeq(sparkSchema).map {
+      org.apache.spark.sql.Row.fromSeq(r.toSeq(ds.schema).map {
         case s: UTF8String => s.toString
         case v             => v
       })
     }
-    spark.createDataFrame(rows.asJava, sparkSchema)
+    spark.createDataFrame(rows.asJava, ds.schema)
   }
 
   test("schema inference matches the store schema") {
     val (dir, ds, _) = fixture
-    assert(ciao(dir).schema === CiaoDataSource.sparkSchema(ds.schema))
+    assert(ciao(dir).schema === ds.schema)
+  }
+
+  test("a user schema that reorders stored columns reads each column by name") {
+    val (dir, _, _) = fixture
+    val user = spark.read.format("ciao").schema("user_id STRING, review_id STRING").load(dir)
+    assert(user.collect().toSeq === ciao(dir).select("user_id", "review_id").collect().toSeq)
+    assert(user.where("user_id = 'rev0'").count() === 0)
+    assert(user.where("review_id = 'rev0'").count() === 1)
+  }
+
+  test("a user schema that subsets stored columns reads exact values") {
+    val (dir, _, _) = fixture
+    val user = spark.read.format("ciao").schema("stars LONG, review_id STRING").load(dir)
+    assert(user.where("stars = 5").count() === ciao(dir).where("stars = 5").count())
+    assert(user.collect().toSet === ciao(dir).select("stars", "review_id").collect().toSet)
+  }
+
+  test("a user schema with a wrong type or an unknown column fails at load, naming the field") {
+    val (dir, _, _) = fixture
+    for ((ddl, field) <- Seq("stars STRING, review_id STRING" -> "stars", "review_id STRING, nope LONG" -> "nope")) {
+      val e = intercept[IllegalArgumentException](spark.read.format("ciao").schema(ddl).load(dir))
+      assert(e.getMessage.contains(field), s"$ddl: ${e.getMessage}")
+    }
   }
 
   test("unfiltered scan returns every row (parquet + raw JIT)") {
@@ -115,8 +137,8 @@ class CiaoDataSourceSpec extends SparkSpec {
     val (dir, _, _) = fixture
     val schema   = ChunkStore.readSchema(dir)
     val registry = ChunkStore.readRegistry(dir)
-    val scanAll  = new CiaoScan(dir, CiaoDataSource.sparkSchema(schema), Array.empty)
-    val scanSkip = new CiaoScan(dir, CiaoDataSource.sparkSchema(schema), registry.ids.toArray)
+    val scanAll  = new CiaoScan(dir, schema, Array.empty)
+    val scanSkip = new CiaoScan(dir, schema, registry.ids.toArray)
     val allParts  = scanAll.planInputPartitions()
     val skipParts = scanSkip.planInputPartitions()
     assert(allParts.exists(_.isInstanceOf[RawChunkPartition]))
@@ -128,7 +150,7 @@ class CiaoDataSourceSpec extends SparkSpec {
     val (dir, _, registry) = fixture
     val schema = ChunkStore.readSchema(dir)
     def emitted(ids: Array[Int]): Long = {
-      val scan = new CiaoScan(dir, CiaoDataSource.sparkSchema(schema), ids)
+      val scan = new CiaoScan(dir, schema, ids)
       scan.planInputPartitions().collect { case p: ParquetChunkPartition => p }.map { p =>
         val r = new ParquetChunkReader(p.copy(skipIds = ids))
         var n = 0L

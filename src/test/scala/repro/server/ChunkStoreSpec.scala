@@ -1,11 +1,11 @@
 package repro.server
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 
+import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
-import TableSchema._
 
 /** Store layout, registry/schema codecs and sidecar IO. */
 class ChunkStoreSpec extends AnyFunSuite {
@@ -18,8 +18,8 @@ class ChunkStoreSpec extends AnyFunSuite {
     ChunkStore.RegEntry(2, Clause(KeyPresence("email")), 0.9, 0.07),
   ))
 
-  private val schema = TableSchema(Vector(
-    Col("name", CString), Col("age", CLong), Col("score", CDouble), Col("ok", CBool)))
+  private val schema =
+    new StructType().add("name", StringType).add("age", LongType).add("score", DoubleType).add("ok", BooleanType)
 
   test("init creates a fresh store and wipes previous content") {
     val dir = tmpDir()
@@ -51,6 +51,8 @@ class ChunkStoreSpec extends AnyFunSuite {
     val dir = tmpDir(); ChunkStore.init(dir)
     ChunkStore.writeSchema(dir, schema)
     assert(ChunkStore.readSchema(dir) === schema)
+    val text = new String(Files.readAllBytes(Paths.get(ChunkStore.schemaPath(dir))), "UTF-8")
+    assert(DataType.fromJson(text) === schema, "schema.json is Spark's StructType JSON")
   }
 
   test("sidecar bits round-trip through files") {

@@ -6,13 +6,12 @@ import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
-import repro.datasource.CiaoDataSource
 import repro.json.{JsonParser, JsonValue}
-import TableSchema._
 
 /** Parquet Group-API chunk IO: write/read round-trips, nulls, ordering,
   * and the local-file contract (no side files, no overwrite, no silent
@@ -102,13 +101,25 @@ class ParquetIOSpec extends AnyFunSuite {
   test("messageType declares one optional field per column") {
     val mt = ParquetIO.messageType(schema)
     assert(mt.getFieldCount === 4)
-    schema.cols.foreach(c => assert(mt.containsField(c.name)))
+    schema.fieldNames.foreach(n => assert(mt.containsField(n)))
+  }
+
+  test("messageType and writeChunk reject a column type the store does not hold, by name") {
+    for (tpe <- Seq[DataType](IntegerType, DecimalType(10, 2), ArrayType(StringType))) {
+      val bad = schema.add("bad_col", tpe)
+      val e1  = intercept[IllegalArgumentException](ParquetIO.messageType(bad))
+      assert(e1.getMessage.contains("bad_col"), tpe)
+      val path = tmpFile()
+      val e2   = intercept[IllegalArgumentException](ParquetIO.writeChunk(path, bad, Vector.empty))
+      assert(e2.getMessage.contains("bad_col"), tpe)
+      assert(!Files.exists(Paths.get(path)), tpe)
+    }
   }
 }
 
 object ParquetIOSpec {
-  val schema: TableSchema = TableSchema(Vector(
-    Col("s", CString), Col("l", CLong), Col("d", CDouble), Col("b", CBool)))
+  val schema: StructType =
+    new StructType().add("s", StringType).add("l", LongType).add("d", DoubleType).add("b", BooleanType)
 
   /** A row of `schema` from external values: a `String` becomes a
     * `UTF8String`; `Long`, `Double`, `Boolean` and `null` are boxed as is.
@@ -121,7 +132,7 @@ object ParquetIOSpec {
 
   /** The values of an internal row of `schema` as a Spark `Row` holds them. */
   def external(r: InternalRow): Seq[Any] =
-    r.toSeq(CiaoDataSource.sparkSchema(schema)).map {
+    r.toSeq(schema).map {
       case s: UTF8String => s.toString
       case v             => v
     }
@@ -154,7 +165,7 @@ class ParquetIOSparkSpec extends SparkSpec {
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, sampleRows)
     val df = spark.read.parquet(path)
-    assert(df.columns.toSeq === schema.names)
+    assert(df.columns.toSeq === schema.fieldNames.toSeq)
     val got = df.collect().map(r => Seq.tabulate(r.length)(r.get))
     assert(got.toSeq === sampleRows.map(external))
   }

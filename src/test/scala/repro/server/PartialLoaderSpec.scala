@@ -59,7 +59,7 @@ class PartialLoaderSpec extends AnyFunSuite {
           // bit=1 for stars=5 implies the row's stars column may be 5 (client
           // semantics allow false positives but loaded values must verify for
           // true positives): typed recheck via parquet content
-          val starsIdx = ds.schema.names.indexOf("stars")
+          val starsIdx = ds.schema.fieldIndex("stars")
           rows.indices.foreach { i =>
             val isFive = !rows(i).isNullAt(starsIdx) && rows(i).getLong(starsIdx) == 5L
             if (isFive) assert(sidecar(0).get(i), "no false negatives survive loading")

@@ -28,7 +28,7 @@ class JsonDatasetsSpec extends AnyFunSuite {
 
   test("yelp objects contain all schema fields with expected domains") {
     yelp.lines.take(100).map(JsonParser.parseObject).foreach { o =>
-      yelp.schema.names.foreach(n => assert(o.has(n), s"missing $n"))
+      yelp.schema.fieldNames.foreach(n => assert(o.has(n), s"missing $n"))
       val stars = o("stars").asInstanceOf[JNum].toLong
       assert(stars >= 1 && stars <= 5)
       val useful = o("useful").asInstanceOf[JNum].toLong
@@ -60,7 +60,7 @@ class JsonDatasetsSpec extends AnyFunSuite {
 
   test("ycsb objects have the Table II attributes with expected domains") {
     ycsb.lines.take(100).map(JsonParser.parseObject).foreach { o =>
-      ycsb.schema.names.foreach(n => assert(o.has(n), s"missing $n"))
+      ycsb.schema.fieldNames.foreach(n => assert(o.has(n), s"missing $n"))
       assert(JsonDatasets.YcsbCountries.contains(o("phone_country").asInstanceOf[JStr].value))
       assert(JsonDatasets.YcsbAgeGroups.contains(o("age_group").asInstanceOf[JStr].value))
       assert(JsonDatasets.YcsbDomains.contains(o("url_domain").asInstanceOf[JStr].value))
