@@ -8,9 +8,10 @@ import scala.collection.immutable.ArraySeq
   *
   * This is the wire/storage format of CIAO's client annotations: each pushed
   * predicate gets one [[BitVec]] per chunk (bit=1 ⇒ object may satisfy the
-  * predicate). Bit i lives in word i/64, bit i%64.
+  * predicate). Bit i lives in word i/64, bit i%64. A scan's ANDed mask
+  * travels to the reader inside its input partition, hence `Serializable`.
   */
-final class BitVec private (val nBits: Int, private val words: Array[Long]) {
+final class BitVec private (val nBits: Int, private val words: Array[Long]) extends Serializable {
 
   def get(i: Int): Boolean = {
     require(i >= 0 && i < nBits, s"bit $i out of range [0,$nBits)")

@@ -2,15 +2,17 @@ package repro.server
 
 import java.nio.file.Paths
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.parquet.ParquetReadOptions
+import org.apache.parquet.column.ColumnReader
+import org.apache.parquet.column.impl.ColumnReadStoreImpl
 import org.apache.parquet.conf.PlainParquetConfiguration
-import org.apache.parquet.example.data.Group
 import org.apache.parquet.example.data.simple.SimpleGroupFactory
-import org.apache.parquet.example.data.simple.convert.GroupRecordConverter
 import org.apache.parquet.hadoop.ParquetFileReader
 import org.apache.parquet.hadoop.example.ExampleParquetWriter
-import org.apache.parquet.io.{ColumnIOFactory, LocalInputFile, LocalOutputFile, RecordReader}
-import org.apache.parquet.io.api.Binary
+import org.apache.parquet.io.{LocalInputFile, LocalOutputFile}
+import org.apache.parquet.io.api.{Binary, Converter, GroupConverter, PrimitiveConverter}
 import org.apache.parquet.schema.{LogicalTypeAnnotation, MessageType, Types}
 import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
 import org.apache.spark.sql.catalyst.InternalRow
@@ -18,6 +20,7 @@ import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType, StringType, StructType}
 import org.apache.spark.unsafe.types.UTF8String
 
+import repro.core.BitVec
 import repro.json.{JBool, JNum, JObj, JStr}
 
 /** A row of a CIAO store is a Catalyst `InternalRow` aligned with the
@@ -45,14 +48,15 @@ object TableSchema {
     })
 }
 
-/** Parquet chunk files written and read through parquet-mr's `Group` API
-  * over plain local files (`LocalOutputFile` / `LocalInputFile` with a
-  * `PlainParquetConfiguration`) — the reproduction's stand-in for the
-  * paper's Arrow C++ low-level writer. Like that writer it has no
-  * filesystem layer: no Hadoop `FileSystem`, `Configuration` or `.crc`
-  * side file, so a chunk costs what its rows cost. Files are standard
-  * uncompressed Parquet. Row order inside a chunk file is load order, which
-  * keeps the sidecar bit-vectors aligned by row index.
+/** Parquet chunk files, written through parquet-mr's `Group` API and read
+  * through its column readers, over plain local files (`LocalOutputFile` /
+  * `LocalInputFile` with a `PlainParquetConfiguration`) — the
+  * reproduction's stand-in for the paper's Arrow C++ low-level writer. Like
+  * that writer it has no filesystem layer: no Hadoop `FileSystem`,
+  * `Configuration` or `.crc` side file, so a chunk costs what its rows
+  * cost. Files are standard uncompressed Parquet. Row order inside a chunk
+  * file is load order, which keeps the sidecar bit-vectors aligned by row
+  * index.
   */
 object ParquetIO {
 
@@ -105,49 +109,101 @@ object ParquetIO {
     } finally writer.close()
   }
 
-  /** Streaming reader over a chunk file, one row group at a time; call
-    * [[ChunkRows.close]] when done. Rows align with `schema`, which may
-    * order or subset the file's columns: each field is looked up by name in
-    * the file's own schema once, when the file opens. A missing file fails
-    * the constructor.
-    */
-  final class ChunkRows(path: String, schema: StructType) extends Iterator[InternalRow] with AutoCloseable {
-    private val reader = ParquetFileReader.open(new LocalInputFile(Paths.get(path)),
+  private def open(path: String): ParquetFileReader =
+    ParquetFileReader.open(new LocalInputFile(Paths.get(path)),
       ParquetReadOptions.builder(new PlainParquetConfiguration()).build())
-    private val fileSchema = reader.getFooter.getFileMetaData.getSchema
-    private val columnIO   = new ColumnIOFactory().getColumnIO(fileSchema)
-    private val types      = schema.fields.map(_.dataType)
-    private val fields     = schema.fields.map(f => fileSchema.getFieldIndex(f.name))
-    private var records: RecordReader[Group] = _
+
+  /** Row count from a chunk file's footer. */
+  def rowCount(path: String): Long = {
+    val r = open(path)
+    try r.getRecordCount finally r.close()
+  }
+
+  /** The converter column readers require; it receives no value, because
+    * rows are built from the readers' typed getters.
+    */
+  private object NoConverter extends GroupConverter {
+    private val primitive = new PrimitiveConverter {}
+    override def getConverter(fieldIndex: Int): Converter = primitive
+    override def start(): Unit = ()
+    override def end(): Unit = ()
+  }
+
+  /** Streaming reader over a chunk file, one row group at a time, through
+    * one column reader per field of `schema`; call [[ChunkRows.close]] when
+    * done. `schema` may order or subset the file's columns: each field is
+    * looked up by name, and only those columns are read from the file.
+    * With a `mask` (one bit per row of the file), a row whose bit is 0 is
+    * skipped value by value and never built; every kept row is a new row.
+    * A missing file fails the constructor.
+    */
+  final class ChunkRows(path: String, schema: StructType, mask: Option[BitVec] = None)
+      extends Iterator[InternalRow] with AutoCloseable {
+    private val reader     = open(path)
+    private val meta       = reader.getFooter.getFileMetaData
+    private val fileSchema = meta.getSchema
+    private val requested  = new MessageType(fileSchema.getName,
+      fileSchema.getFields.asScala.filter(t => schema.fieldNames.contains(t.getName)).asJava)
+    reader.setRequestedSchema(requested)
+    private val columns = schema.fields.map(f => requested.getColumnDescription(Array(f.name)))
+    private val types   = schema.fields.map(_.dataType)
+    private var readers: Array[ColumnReader] = Array.empty
     private var left = 0L // rows not yet read from the current row group
+    private var read = 0L // rows read (kept or skipped) from the file
+    private var kept: InternalRow = _
 
-    /** Row count from the file's footer. */
-    def rowCount: Long = reader.getRecordCount
+    mask.filter(_.nBits != reader.getRecordCount).foreach { m =>
+      reader.close()
+      throw new IllegalArgumentException(s"mask of ${m.nBits} bits for $path, which has ${reader.getRecordCount} rows")
+    }
 
-    override def hasNext: Boolean = {
+    /** Rows read so far, kept and skipped. */
+    def rowsRead: Long = read
+
+    private def rowsLeft: Boolean = {
       while (left == 0) {
         val pages = reader.readNextRowGroup()
         if (pages == null) return false
-        records = columnIO.getRecordReader(pages, new GroupRecordConverter(fileSchema))
+        val store = new ColumnReadStoreImpl(pages, NoConverter, requested, meta.getCreatedBy)
+        readers = columns.map(store.getColumnReader)
         left = pages.getRowCount
       }
       true
     }
 
+    override def hasNext: Boolean = {
+      while (kept == null && rowsLeft) {
+        val keep = mask.forall(_.get(read.toInt))
+        if (keep) kept = new GenericInternalRow(Array.tabulate[Any](readers.length)(value))
+        var i = 0
+        while (i < readers.length) {
+          if (!keep && readers(i).getCurrentDefinitionLevel == columns(i).getMaxDefinitionLevel) readers(i).skip()
+          readers(i).consume()
+          i += 1
+        }
+        left -= 1
+        read += 1
+      }
+      kept != null
+    }
+
+    /** The current value of column `i`, or null. */
+    private def value(i: Int): Any = {
+      val c = readers(i)
+      if (c.getCurrentDefinitionLevel < columns(i).getMaxDefinitionLevel) null
+      else types(i) match {
+        case StringType  => UTF8String.fromBytes(c.getBinary.getBytes)
+        case LongType    => java.lang.Long.valueOf(c.getLong)
+        case DoubleType  => java.lang.Double.valueOf(c.getDouble)
+        case BooleanType => java.lang.Boolean.valueOf(c.getBoolean)
+      }
+    }
+
     override def next(): InternalRow = {
       if (!hasNext) throw new NoSuchElementException(s"no more rows in $path")
-      val g = records.read()
-      left -= 1
-      new GenericInternalRow(Array.tabulate[Any](types.length) { i =>
-        val f = fields(i)
-        if (g.getFieldRepetitionCount(f) == 0) null
-        else types(i) match {
-          case StringType  => UTF8String.fromBytes(g.getBinary(f, 0).getBytes)
-          case LongType    => java.lang.Long.valueOf(g.getLong(f, 0))
-          case DoubleType  => java.lang.Double.valueOf(g.getDouble(f, 0))
-          case BooleanType => java.lang.Boolean.valueOf(g.getBoolean(f, 0))
-        }
-      })
+      val row = kept
+      kept = null
+      row
     }
 
     override def close(): Unit = reader.close()

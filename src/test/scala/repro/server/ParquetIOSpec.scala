@@ -8,16 +8,18 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
+import repro.{PropSupport, SparkSpec}
+import repro.core.BitVec
 import repro.json.{JsonParser, JsonValue}
 
-/** Parquet Group-API chunk IO: write/read round-trips, nulls, ordering,
-  * and the local-file contract (no side files, no overwrite, no silent
-  * empty read).
+/** Parquet chunk IO: write/read round-trips, nulls, ordering, masked and
+  * projected reads, and the local-file contract (no side files, no
+  * overwrite, no silent empty read).
   */
-class ParquetIOSpec extends AnyFunSuite {
+class ParquetIOSpec extends AnyFunSuite with PropSupport {
   import ParquetIOSpec._
 
   test("round-trips typed rows in order") {
@@ -59,6 +61,40 @@ class ParquetIOSpec extends AnyFunSuite {
     val got = try it.toVector finally it.close()
     assert(got.size === 500)
     assert(got(123) === rows(123))
+  }
+
+  test("ChunkRows with a mask returns exactly the masked rows, in file order") {
+    val rows = sampleRows ++ Vector.tabulate(2000)(i => row(if (i % 9 == 0) null else s"v${i % 3}", i.toLong, null, i % 2 == 0))
+    val path = tmpFile()
+    ParquetIO.writeChunk(path, schema, rows)
+    val all  = ParquetIO.readChunk(path, schema)
+    val bits = Gen.oneOf(Gen.const(0.0), Gen.const(1.0), Gen.choose(0.0, 1.0), Gen.const(0.001))
+      .flatMap(p => Gen.listOfN(rows.size, Gen.prob(p)))
+    forAllSamples(bits, n = 30) { keep =>
+      val mask = BitVec.tabulate(rows.size)(keep)
+      val it   = new ParquetIO.ChunkRows(path, schema, Some(mask))
+      val got  = try it.toVector finally it.close()
+      assert(got === all.indices.filter(keep).map(all))
+      assert(it.rowsRead === rows.size)
+    }
+  }
+
+  test("ChunkRows with a mask of the wrong length fails") {
+    val path = tmpFile()
+    ParquetIO.writeChunk(path, schema, sampleRows)
+    for (n <- Seq(sampleRows.size - 1, sampleRows.size + 1))
+      intercept[IllegalArgumentException](new ParquetIO.ChunkRows(path, schema, Some(BitVec.full(n))))
+  }
+
+  test("ChunkRows reads a projection of the file's columns, in the projection's order") {
+    val path = tmpFile()
+    ParquetIO.writeChunk(path, schema, sampleRows)
+    val projected = new StructType().add("b", BooleanType).add("s", StringType)
+    val got = ParquetIO.readChunk(path, projected)
+    assert(got.map(_.toSeq(projected)) === sampleRows.map(r => Seq(r.get(3, BooleanType), r.get(0, StringType))))
+    val mask = BitVec.tabulate(sampleRows.size)(_ % 3 == 1)
+    val none = new ParquetIO.ChunkRows(path, new StructType(), Some(mask))
+    try assert(none.toVector.map(_.numFields) === Vector.fill(mask.cardinality)(0)) finally none.close()
   }
 
   test("extractRow maps JSON fields by name and type") {
