@@ -42,13 +42,13 @@ object CostModel {
   private def features(s: Sample): Array[Double] =
     Array(s.sel * s.lenP, s.sel * s.lenT, (1 - s.sel) * s.lenP, (1 - s.sel) * s.lenT, 1.0)
 
-  /** Ordinary least squares via normal equations (XᵀX + λI)β = Xᵀy, solved
-    * by Gaussian elimination with partial pivoting (5 unknowns — exact).
-    * A tiny ridge term `lambda` keeps the fit well-posed when measured
-    * samples are nearly collinear (e.g. every chosen pattern missed, making
-    * the found-case columns all ~0); λ=0 is pure OLS.
+  /** Ordinary least squares via the normal equations XᵀXβ = Xᵀy, solved by
+    * Gaussian elimination with partial pivoting (5 unknowns — exact). The
+    * samples must vary the five regressors independently, as the designed
+    * grid of `Harness.calibrationSamples` does; a collinear design fails in
+    * [[solve]].
     */
-  def calibrate(samples: Seq[Sample], lambda: Double = 0.0): Coeffs = {
+  def calibrate(samples: Seq[Sample]): Coeffs = {
     require(samples.size >= 5, s"need ≥5 samples to fit 5 coefficients, got ${samples.size}")
     val k   = 5
     val xtx = Array.fill(k, k)(0.0)
@@ -63,8 +63,6 @@ object CostModel {
         i += 1
       }
     }
-    var i = 0
-    while (i < k) { xtx(i)(i) += lambda; i += 1 }
     val beta = solve(xtx, xty)
     Coeffs(beta(0), beta(1), beta(2), beta(3), beta(4))
   }

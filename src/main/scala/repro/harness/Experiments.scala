@@ -254,27 +254,27 @@ object Experiments {
   final case class PlatformRow(platform: String, hardware: String, r2: Double)
 
   /** Reproduce Table IV. The paper calibrates on three machines; here one
-    * container plays three roles (DESIGN.md §3): (a) real measured timings,
-    * (b) the same measurements with deterministic hypervisor-style
-    * throttling spikes, (c) model-generated timings with small noise
-    * (an idealized bare-metal cluster node).
+    * container plays three roles (DESIGN.md §3): (a) measured timings of
+    * each dataset's calibration grid (`Harness.calibrationSamples`), (b) the
+    * same measurements with deterministic hypervisor-style throttling
+    * spikes (20% of samples 2–4× slower), (c) model-generated timings with
+    * small noise (an idealized bare-metal cluster node).
     */
-  def costModelTable(sampleRows: Int = 2500, predsPerDataset: Int = 34, seed: Long = 99L): Vector[PlatformRow] = {
-    val rnd = new Random(seed)
-    val samples = Vector("yelp", "winlog", "ycsb").flatMap { name =>
-      Harness.calibrationSamples(JsonDatasets.byName(name, sampleRows).lines, PredicatePool.byName(name), predsPerDataset)
+  def costModelTable(): Vector[PlatformRow] = {
+    val rnd = new Random(99L)
+    val measured = Vector("yelp", "winlog", "ycsb").flatMap { name =>
+      Harness.calibrationSamples(JsonDatasets.byName(name, 2000).lines, PredicatePool.byName(name))
     }
-    val measured = samples
-    val noisy = samples.map { s =>
-      val spike = if (rnd.nextDouble() < 0.12) 1.6 + 1.2 * rnd.nextDouble() else 1.0 + 0.15 * rnd.nextDouble()
+    val noisy = measured.map { s =>
+      val spike = if (rnd.nextDouble() < 0.2) 2.0 + 2.0 * rnd.nextDouble() else 1.0
       s.copy(measuredMicros = s.measuredMicros * spike)
     }
-    val idealCoeffs = CostModel.calibrate(measured, lambda = 1e-6)
-    val stable = samples.map { s =>
+    val idealCoeffs = CostModel.calibrate(measured)
+    val stable = measured.map { s =>
       val t = CostModel.estimateSearch(idealCoeffs, s.sel, s.lenP, s.lenT)
       s.copy(measuredMicros = math.max(1e-6, t * (1.0 + 0.03 * (rnd.nextDouble() - 0.5))))
     }
-    def r2(ss: Seq[CostModel.Sample]) = CostModel.rSquared(ss, CostModel.calibrate(ss, lambda = 1e-6))
+    def r2(ss: Seq[CostModel.Sample]) = CostModel.rSquared(ss, CostModel.calibrate(ss))
     Vector(
       PlatformRow("container-jvm (measured)", "this container, JVM String.indexOf", r2(measured)),
       PlatformRow("cloud-vm (simulated)", "measured + hypervisor-style throttling spikes", r2(noisy)),

@@ -43,53 +43,52 @@ object Harness {
   /** Selectivity assumed for an atom the selectivity sample never saw. */
   val FallbackAtomSel = 0.1
 
-  /** Build a bundle: generate data, expand the Table II pool, estimate
-    * selectivities on a sample, calibrate the cost model on this machine.
+  /** Build a bundle: generate data, expand the Table II pool, and estimate
+    * selectivities and calibrate the cost model on a 2,000-line sample.
     */
-  def bundle(name: String, rows: Int, sampleSize: Int = 2000, seed: Long = 0L): Bundle = {
-    val ds   = JsonDatasets.byName(name, rows, seed)
-    val pool = PredicatePool.byName(name)
-    val sample = ds.lines.take(sampleSize)
-    val sels = PredicatePool.estimateSelectivities(pool, sample)
-    val coeffs = calibrate(sample, pool)
-    Bundle(ds, pool, sels, coeffs)
+  def bundle(name: String, rows: Int): Bundle = {
+    val ds     = JsonDatasets.byName(name, rows)
+    val pool   = PredicatePool.byName(name)
+    val sample = ds.lines.take(2000)
+    Bundle(ds, pool, PredicatePool.estimateSelectivities(pool, sample), calibrate(sample, pool))
   }
 
-  /** Calibrate the §V-D cost model by timing real substring searches of
-    * pool patterns over sample lines (warmed up, median of repeats).
-    * The sample's `sel` is the *pattern hit rate* (string-level, which is
-    * what determines found-vs-not-found search cost). Lines are bucketed by
-    * length so `len(t)` varies across samples — with a single constant
-    * len(t) the design matrix is collinear (sel·lenT + (1−sel)·lenT equals
-    * lenT times the intercept column) and the fit would be singular.
-    */
-  def calibrate(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry],
-                maxPreds: Int = 80): CostModel.Coeffs =
-    CostModel.calibrate(calibrationSamples(sampleLines, pool, maxPreds), lambda = 1e-6)
+  /** Calibrate the §V-D cost model by OLS over [[calibrationSamples]]. */
+  def calibrate(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry]): CostModel.Coeffs =
+    CostModel.calibrate(calibrationSamples(sampleLines, pool))
 
-  /** The calibration design: lines sorted into 4 length buckets, and every
-    * k-th distinct pool pattern by length (about `maxPreds` of them), each
-    * timed over the next bucket in turn.
+  /** The calibration design: a len(t) × len(p) grid, each cell timed with
+    * the pattern absent (sel = 0) and planted once per line (sel = 1), so the
+    * five regressors vary independently. Text: the first 500 sample lines,
+    * each repeated and cut to len(t). Pattern: a pool pattern's first
+    * len(p)−1 characters padded with U+0001 to len(p); valid JSON text never
+    * holds U+0001, so the pattern is found only where it is planted.
     */
-  def calibrationSamples(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry],
-                         maxPreds: Int): Vector[CostModel.Sample] = {
-    val lines = sampleLines.toIndexedSeq.sortBy(_.length)
-    val nBuckets = 4
-    val buckets = (0 until nBuckets)
-      .map(b => lines.slice(b * lines.size / nBuckets, (b + 1) * lines.size / nBuckets))
-      .filter(_.nonEmpty)
-    // One search per sample: use each candidate's first pattern string.
+  def calibrationSamples(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry]): Vector[CostModel.Sample] = {
+    val rnd      = new scala.util.Random(0L)
+    val lines    = sampleLines.take(500).toVector
     val patterns = pool.flatMap(_.clause.atoms.flatMap(_.patterns)).distinct
-    val chosen   = patterns.sortBy(_.length).grouped(math.max(1, patterns.size / maxPreds)).map(_.head).toVector
-    chosen.zipWithIndex.map { case (pat, i) =>
-      val bucket = buckets(i % buckets.size)
-      val bLen   = bucket.map(_.length.toLong).sum.toDouble / bucket.size
-      measureSearch(bucket, pat, bLen)
+    val cells = for {
+      (lenT, i) <- Vector(64, 256, 1024).zipWithIndex
+      (lenP, j) <- Vector(2, 8, 32).zipWithIndex
+      planted   <- Vector(false, true)
+    } yield {
+      val pat = patterns((3 * i + j) % patterns.size).take(lenP - 1).padTo(lenP, '\u0001')
+      val texts = lines.map { l =>
+        val t = (l * (lenT / l.length + 1)).take(lenT)
+        if (!planted) t
+        else { val at = rnd.nextInt(lenT - lenP + 1); t.take(at) + pat + t.drop(at + lenP) }
+      }
+      () => measureSearch(texts, pat, lenT.toDouble)
     }
+    // Three rounds in fresh shuffled orders; each cell keeps its median timing,
+    // so a cold JIT or a burst of machine noise moves only one of the three.
+    val timed = Vector.fill(3)(rnd.shuffle(cells.indices.toVector)).flatten.map(i => i -> cells(i)())
+    cells.indices.toVector.map(i => timed.collect { case (`i`, s) => s }.sortBy(_.measuredMicros).apply(1))
   }
 
   /** Measure one pattern's per-object search cost in µs. Each timing runs
-    * several passes over the whole bucket so the measured interval is well
+    * several passes over all the lines so the measured interval is well
     * above clock granularity; the median of 5 timings damps JIT/GC noise.
     */
   def measureSearch(lines: IndexedSeq[String], pattern: String, avgLen: Double): CostModel.Sample = {

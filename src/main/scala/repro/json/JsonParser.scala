@@ -129,9 +129,8 @@ object JsonParser {
               case 'u'  =>
                 if (pos + 4 > s.length) fail("truncated \\u escape")
                 val hex = s.substring(pos, pos + 4)
-                val cp  = try Integer.parseInt(hex, 16)
-                          catch { case _: NumberFormatException => fail(s"bad \\u escape '$hex'") }
-                sb.append(cp.toChar); pos += 4
+                if (!hex.forall(h => h < 0x80 && Character.digit(h, 16) >= 0)) fail(s"bad \\u escape '$hex'")
+                sb.append(Integer.parseInt(hex, 16).toChar); pos += 4
               case o    => fail(s"bad escape '\\$o'")
             }
           case o if o < 0x20 => fail("raw control character in string")
@@ -141,21 +140,25 @@ object JsonParser {
       throw new IllegalStateException("unreachable")
     }
 
+    /** An ASCII digit at `pos`: RFC 8259 numbers allow no other (`Char.isDigit` would). */
+    private def digit: Boolean = !eof && peek >= '0' && peek <= '9'
+
     private def number(): JNum = {
       val start = pos
       if (!eof && peek == '-') pos += 1
-      if (eof || !peek.isDigit) fail("malformed number")
-      while (!eof && peek.isDigit) pos += 1
+      if (!digit) fail("malformed number")
+      if (peek == '0') { pos += 1; if (digit) fail("number with a leading zero") }
+      else while (digit) pos += 1
       if (!eof && peek == '.') {
         pos += 1
-        if (eof || !peek.isDigit) fail("malformed number fraction")
-        while (!eof && peek.isDigit) pos += 1
+        if (!digit) fail("malformed number fraction")
+        while (digit) pos += 1
       }
       if (!eof && (peek == 'e' || peek == 'E')) {
         pos += 1
         if (!eof && (peek == '+' || peek == '-')) pos += 1
-        if (eof || !peek.isDigit) fail("malformed number exponent")
-        while (!eof && peek.isDigit) pos += 1
+        if (!digit) fail("malformed number exponent")
+        while (digit) pos += 1
       }
       JNum(s.substring(start, pos))
     }

@@ -151,5 +151,5 @@ object WorkloadGen {
     "A" -> (generate(pool, nQueries, 3.0, Zipfian(1.5), seed)     -> Zipfian(1.5)),
     "B" -> (generate(pool, nQueries, 3.0, Zipfian(2.0), seed + 1) -> Zipfian(2.0)),
     "C" -> (generate(pool, nQueries, 3.0, Uniform, seed + 2)      -> Uniform),
-  ).map { case (k, (q, d)) => k -> (q, d) }
+  )
 }

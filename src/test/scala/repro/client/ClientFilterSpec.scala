@@ -14,6 +14,7 @@ import repro.workload.JsonDatasets
   * but NEVER false negatives w.r.t. typed evaluation on the parsed object.
   */
 class ClientFilterSpec extends AnyFunSuite with PropSupport {
+  import ClientFilterSpec.Obj
 
   private val line = """{"name":"Bob","age":22,"text":"really delicious food","email":"b@x.com","score":10}"""
 
@@ -180,40 +181,58 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     noFalseNegative(ds.lines, atoms)
   }
 
-  /** (name, word, age, the `"age":…` field): the age is spelled `a`,
-    * `a.0` or `ae0`, sometimes with spaces around the colon.
+  /** Objects whose name may hold an escape (`\"`, `\\`, `\/`, `\u00e9`),
+    * whose age is spelled `a`, `a.0` or `ae0` (sometimes with spaces around
+    * the colon), whose fields come in a random order, and which may hold a
+    * nested `"meta":{"age":…}` that reuses the key, first or last.
     */
-  private val objGen: Gen[(String, String, Long, String)] = for {
-    name  <- Gen.alphaStr.map(_.take(8)).suchThat(_.nonEmpty)
-    word  <- Gen.alphaLowerStr.map(_.take(6)).suchThat(_.nonEmpty)
-    age   <- Gen.choose(0L, 120L)
-    value <- Gen.oneOf(s"$age", s"$age.0", s"${age}e0")
-    colon <- Gen.oneOf(":", ":", " : ", ": ")
-  } yield (name, word, age, s""""age"$colon$value""")
+  private val objGen: Gen[Obj] = for {
+    plain  <- Gen.alphaStr.map(_.take(8)).suchThat(_.nonEmpty)
+    escape <- Gen.oneOf(Seq("" -> "", "\"" -> "\\\"", "\\" -> "\\\\", "/" -> "\\/", "\u00e9" -> "\\u00e9"))
+    word   <- Gen.alphaLowerStr.map(_.take(6)).suchThat(_.nonEmpty)
+    age    <- Gen.choose(0L, 120L)
+    value  <- Gen.oneOf(s"$age", s"$age.0", s"${age}e0")
+    colon  <- Gen.oneOf(":", ":", " : ", ": ")
+    order  <- Gen.long
+    inner  <- Gen.choose(0L, 120L)
+    nested <- Gen.oneOf("none", "first", "last")
+  } yield {
+    val (decoded, spelled) = escape
+    val fields = new scala.util.Random(order).shuffle(Vector(
+      s""""name":"$plain$spelled"""", s""""note":"some $word here"""", s""""age"$colon$value"""))
+    val meta = s""""meta":{"age":$inner}"""
+    val all = nested match {
+      case "first" => meta +: fields
+      case "last"  => fields :+ meta
+      case _       => fields
+    }
+    Obj(plain + decoded, word, age, all.mkString("{", ",", "}"))
+  }
 
   test("property: no false negatives on randomly generated flat objects") {
     forAllSamples(Gen.listOfN(5, objGen), n = 60) { objs =>
-      val lines = objs.map { case (n, w, _, age) =>
-        s"""{"name":"$n","note":"some $w here",$age}"""
+      val atoms = objs.flatMap { o =>
+        Seq[Atom](ExactMatch("name", o.name), SubstringMatch("note", o.word),
+          KeyValueMatch("age", o.age.toString), KeyPresence("note"))
       }
-      val atoms = objs.flatMap { case (n, w, a, _) =>
-        Seq[Atom](ExactMatch("name", n), SubstringMatch("note", w),
-          KeyValueMatch("age", a.toString), KeyPresence("note"))
-      }
-      noFalseNegative(lines, atoms)
+      noFalseNegative(objs.map(_.line), atoms)
     }
   }
 
   test("property: clause-level no false negatives under disjunction") {
     forAllSamples(Gen.listOfN(4, objGen), n = 40) { objs =>
-      val lines = objs.map { case (n, w, _, age) => s"""{"name":"$n","note":"$w",$age}""" }
-      val clause = Clause(
-        ExactMatch("name", objs.head._1),
-        KeyValueMatch("age", objs.last._3.toString))
-      lines.foreach { l =>
-        val obj = JsonParser.parseObject(l)
-        if (clause.evalParsed(obj)) assert(ClientFilter.matchClause(l, clause))
+      val lines  = objs.map(_.line).toVector
+      val clause = Clause(ExactMatch("name", objs.head.name), KeyValueMatch("age", objs.last.age.toString))
+      val bits   = ClientFilter.chunkBits(lines, Seq(0 -> clause))(0)
+      lines.indices.foreach { r =>
+        if (clause.evalParsed(JsonParser.parseObject(lines(r))))
+          assert(bits.get(r), s"FALSE NEGATIVE: $clause on ${lines(r)}")
       }
     }
   }
+}
+
+object ClientFilterSpec {
+  /** One generated object line and the values its atoms test. */
+  final case class Obj(name: String, word: String, age: Long, line: String)
 }

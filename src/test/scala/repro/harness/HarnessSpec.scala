@@ -14,7 +14,7 @@ class HarnessSpec extends SparkSpec {
 
   private def tmpDir(): String = Files.createTempDirectory("harness").toString
 
-  private lazy val bundle = Harness.bundle("yelp", rows = 2000, sampleSize = 800)
+  private lazy val bundle = Harness.bundle("yelp", rows = 2000)
 
   private lazy val workload =
     WorkloadGen.generate(bundle.pool.map(_.clause), nQueries = 30, expectedPreds = 3.0,
@@ -107,6 +107,17 @@ class HarnessSpec extends SparkSpec {
     val expected = bundle.dataset.lines.count(l =>
       repro.json.JsonParser.parseObject(l).get("stars").contains(repro.json.JNum("5")))
     assert(Harness.expectedCounts(bundle.dataset.lines, Vector(q)) === Vector(expected.toLong))
+  }
+
+  test("the calibration design has exact sel and a 3 × 3 length grid, so OLS recovers known coefficients") {
+    val samples = Harness.calibrationSamples(bundle.dataset.lines, bundle.pool)
+    assert(samples.forall(s => s.sel == 0.0 || s.sel == 1.0), samples.map(_.sel).distinct)
+    assert(samples.map(_.lenT).distinct.size >= 3)
+    assert(samples.map(_.lenP).distinct.size >= 3)
+    val known = CostModel.Coeffs(k1 = 0.0003, k2 = 0.0001, k3 = 0.00002, k4 = 0.0002, c = 0.004)
+    val fit = CostModel.calibrate(samples.map(s =>
+      s.copy(measuredMicros = CostModel.estimateSearch(known, s.sel, s.lenP, s.lenT))))
+    known.toSeq.zip(fit.toSeq).foreach { case (e, g) => assert(math.abs(e - g) < 1e-9, s"expected $e got $g") }
   }
 
   test("measureSearch returns plausible per-object costs") {

@@ -93,6 +93,10 @@ class JsonParserSpec extends AnyFunSuite with PropSupport {
     intercept[JsonParser.JsonParseException](JsonParser.parse("-"))
     intercept[JsonParser.JsonParseException](JsonParser.parse("1."))
     intercept[JsonParser.JsonParseException](JsonParser.parse("1e"))
+    // RFC 8259 §6: ASCII digits only, and no leading zero
+    for (bad <- Seq("{\"x\":1\u0661}", "{\"x\":01}", "-01", "1.\u0661", "1e\u0661"))
+      intercept[JsonParser.JsonParseException](JsonParser.parse(bad))
+    assert(JsonParser.parse("[0,-0,0.5,0e1]") === JArr(Vector(JNum("0"), JNum("-0"), JNum("0.5"), JNum("0e1"))))
   }
 
   test("rejects missing colon and stray commas") {
@@ -110,6 +114,10 @@ class JsonParserSpec extends AnyFunSuite with PropSupport {
 
   test("bad \\u escape is rejected") {
     intercept[JsonParser.JsonParseException](JsonParser.parse("\"\\uZZZZ\""))
+    // exactly four ASCII hex digits: no sign, no non-ASCII digit
+    for (bad <- Seq("\"\\u+041\"", "\"\\u-041\"", "\"\\u\u0660\u0660\u0664\u0661\""))
+      intercept[JsonParser.JsonParseException](JsonParser.parse(bad))
+    assert(JsonParser.parse("\"\\u00e9\\u00C9\"") === JStr("\u00e9\u00c9"))
   }
 
   private val jsonStringGen: Gen[String] =
