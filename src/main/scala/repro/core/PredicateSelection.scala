@@ -31,8 +31,6 @@ object PredicateSelection {
     }.sum
   }
 
-  private def totalCost(s: Seq[Candidate]): Double = s.map(_.cost).sum
-
   /** One greedy pass. `score(gain, cost)` ranks candidates each round:
     * Algorithm 1 uses the raw objective value, Algorithm 2 the
     * benefit/cost ratio. Only candidates that still fit the budget are
@@ -91,34 +89,5 @@ object PredicateSelection {
     val a = selectNaive(candidates, queries, budget)
     val b = selectRatio(candidates, queries, budget)
     if (objective(a, queries) >= objective(b, queries)) a else b
-  }
-
-  /** Exhaustive optimum — exponential; only for small test universes. */
-  def selectBruteForce(candidates: Seq[Candidate], queries: Seq[CiaoQuery], budget: Double): Vector[Candidate] = {
-    val cands = candidates.distinctBy(_.key).toVector
-    require(cands.size <= 20, "brute force limited to 20 candidates")
-    var best  = Vector.empty[Candidate]
-    var bestF = objective(best, queries)
-    for (mask <- 0 until (1 << cands.size)) {
-      val subset = cands.zipWithIndex.collect { case (c, i) if (mask & (1 << i)) != 0 => c }
-      if (totalCost(subset) <= budget + 1e-12) {
-        val f = objective(subset, queries)
-        if (f > bestF) { best = subset; bestF = f }
-      }
-    }
-    best
-  }
-
-  /** Submodularity witness f(S)+f(T) − f(S∩T) − f(S∪T); must be ≥ 0 for
-    * all S, T (paper §V-B). Exposed for the property tests.
-    */
-  def submodularityGap(s: Seq[Candidate], t: Seq[Candidate], queries: Seq[CiaoQuery]): Double = {
-    val sk = s.map(_.key).toSet
-    val tk = t.map(_.key).toSet
-    val all   = (s ++ t).distinctBy(_.key)
-    val inter = all.filter(c => sk.contains(c.key) && tk.contains(c.key))
-    val union = all
-    objective(s, queries) + objective(t, queries) -
-      objective(inter, queries) - objective(union, queries)
   }
 }

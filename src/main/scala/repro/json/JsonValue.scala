@@ -1,10 +1,9 @@
 package repro.json
 
-/** Minimal JSON AST used by the server-side loader and the JIT raw reader.
-  *
-  * This is the reproduction's substitute for rapidJSON (the paper's parser):
-  * the server pays a real parse cost per loaded object, which is exactly the
-  * cost partial loading avoids for filtered-out objects.
+/** Minimal JSON AST used by the server-side loader and the JIT raw reader,
+  * built by [[JsonParser.parse]] from jackson-core's tokens (the rapidJSON
+  * substitute): the server pays a real parse cost per loaded object, which
+  * is exactly the cost partial loading avoids for filtered-out objects.
   */
 sealed trait JsonValue {
   /** Compact textual rendering (inverse of [[JsonParser.parse]]). */

@@ -31,7 +31,6 @@ object ChunkStore {
   /** The predicate registry, indexable by clause canonical form. */
   final case class Registry(entries: Vector[RegEntry]) {
     lazy val byCanonical: Map[String, RegEntry] = entries.map(e => e.clause.canonical -> e).toMap
-    def ids: Vector[Int] = entries.map(_.id)
     def isEmpty: Boolean = entries.isEmpty
   }
 

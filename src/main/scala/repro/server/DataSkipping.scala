@@ -16,14 +16,16 @@ import repro.core._
 object DataSkipping {
 
   /** Render a pushed literal the way the JSON generator prints it, so the
-    * canonical form matches the registry entry built from the same value.
+    * canonical form matches the registry entry built from the same value:
+    * a finite double as its exact plain decimal (`5.0` is `5`, `1e20` is
+    * `100000000000000000000`); NaN and the infinities have no JSON form.
     */
   private def literal(v: Any): Option[String] = v match {
     case i: java.lang.Integer => Some(i.toString)
     case l: java.lang.Long    => Some(l.toString)
     case s: java.lang.Short   => Some(s.toString)
     case b: java.lang.Boolean => Some(if (b) "true" else "false")
-    case d: java.lang.Double  => Some(if (d == math.floor(d) && !d.isInfinite) d.toLong.toString else d.toString)
+    case d: java.lang.Double  => Option.when(!d.isNaN && !d.isInfinite)(java.math.BigDecimal.valueOf(d).stripTrailingZeros.toPlainString)
     case _                    => None
   }
 

@@ -208,10 +208,4 @@ object ParquetIO {
 
     override def close(): Unit = reader.close()
   }
-
-  /** Read a whole chunk eagerly (tests / small chunks). */
-  def readChunk(path: String, schema: StructType): Vector[InternalRow] = {
-    val it = new ChunkRows(path, schema)
-    try it.toVector finally it.close()
-  }
 }

@@ -17,6 +17,34 @@ class PredicateSelectionSpec extends AnyFunSuite with PropSupport {
   private def q(freq: Double, names: String*): CiaoQuery =
     CiaoQuery(names.map(cl).toVector, freq)
 
+  /** Exhaustive optimum — exponential; only for small test universes. */
+  private def selectBruteForce(candidates: Seq[Candidate], queries: Seq[CiaoQuery], budget: Double): Vector[Candidate] = {
+    val cands = candidates.distinctBy(_.key).toVector
+    require(cands.size <= 20, "brute force limited to 20 candidates")
+    var best  = Vector.empty[Candidate]
+    var bestF = objective(best, queries)
+    for (mask <- 0 until (1 << cands.size)) {
+      val subset = cands.zipWithIndex.collect { case (c, i) if (mask & (1 << i)) != 0 => c }
+      if (subset.map(_.cost).sum <= budget + 1e-12) {
+        val f = objective(subset, queries)
+        if (f > bestF) { best = subset; bestF = f }
+      }
+    }
+    best
+  }
+
+  /** Submodularity witness f(S)+f(T) − f(S∩T) − f(S∪T); must be ≥ 0 for
+    * all S, T (paper §V-B).
+    */
+  private def submodularityGap(s: Seq[Candidate], t: Seq[Candidate], queries: Seq[CiaoQuery]): Double = {
+    val sk    = s.map(_.key).toSet
+    val tk    = t.map(_.key).toSet
+    val union = (s ++ t).distinctBy(_.key)
+    val inter = union.filter(c => sk.contains(c.key) && tk.contains(c.key))
+    objective(s, queries) + objective(t, queries) -
+      objective(inter, queries) - objective(union, queries)
+  }
+
   // ---- objective f(S) ----
 
   test("objective of the empty set is 0") {

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 
 import repro.PropSupport
+import repro.workload.JsonDatasets
 
 /** Unit + property tests for the minimal JSON parser substrate. */
 class JsonParserSpec extends AnyFunSuite with PropSupport {
@@ -118,6 +119,31 @@ class JsonParserSpec extends AnyFunSuite with PropSupport {
     for (bad <- Seq("\"\\u+041\"", "\"\\u-041\"", "\"\\u\u0660\u0660\u0664\u0661\""))
       intercept[JsonParser.JsonParseException](JsonParser.parse(bad))
     assert(JsonParser.parse("\"\\u00e9\\u00C9\"") === JStr("\u00e9\u00c9"))
+  }
+
+  test("rejects what RFC 8259 leaves out: empty input, trailing commas, comments, non-JSON literals, two roots") {
+    for (bad <- Seq("", " \t\n ", "[1,]", "/*c*/1", "'a'", "{a:1}", "NaN", "+1", ".5", """{"a":1}{"b":2}"""))
+      intercept[JsonParser.JsonParseException](JsonParser.parse(bad))
+  }
+
+  test("a number past 1,000 characters or nesting past depth 1,000 raises JsonParseException") {
+    assert(JsonParser.parse("9" * 1000) === JNum("9" * 1000))
+    intercept[JsonParser.JsonParseException](JsonParser.parse("9" * 1001))
+    assert(JsonParser.parse("[" * 1000 + "]" * 1000).isInstanceOf[JArr])
+    intercept[JsonParser.JsonParseException](JsonParser.parse("[" * 1001 + "]" * 1001))
+  }
+
+  test("a failure reports the character offset where the input went wrong") {
+    assert(intercept[JsonParser.JsonParseException](JsonParser.parse("""{"a":1} x""")).pos === 8)
+    assert(intercept[JsonParser.JsonParseException](JsonParser.parse("[1,]")).pos === 3)
+    assert(intercept[JsonParser.JsonParseException](JsonParser.parse("""{"a":1}{"b":2}""")).pos === 7)
+  }
+
+  test("every generated dataset line renders back to itself") {
+    for (ds <- Seq(JsonDatasets.yelp(40000), JsonDatasets.winlog(40000), JsonDatasets.ycsb(40000))) {
+      val differ = ds.lines.filter(l => JsonParser.parse(l).render != l)
+      assert(differ.isEmpty, s"${ds.name}: ${differ.size} lines differ, first ${differ.headOption}")
+    }
   }
 
   private val jsonStringGen: Gen[String] =

@@ -37,6 +37,15 @@ class DataSkippingSpec extends AnyFunSuite {
     assert(DataSkipping.filterToClause(EqualTo("x", 5.0)) === Some(Clause(KeyValueMatch("x", "5"))))
   }
 
+  test("EqualTo on a double renders its exact plain decimal, never a saturated long") {
+    def kv(d: Double) = DataSkipping.filterToClause(EqualTo("x", d)).map(_.atoms)
+    assert(kv(1e20) === Some(Vector(KeyValueMatch("x", "100000000000000000000"))))
+    assert(kv(5.0) === Some(Vector(KeyValueMatch("x", "5"))))
+    assert(kv(-0.0) === Some(Vector(KeyValueMatch("x", "0"))))
+    assert(kv(2.5) === Some(Vector(KeyValueMatch("x", "2.5"))))
+    for (d <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) assert(kv(d).isEmpty)
+  }
+
   test("StringContains becomes a substring match") {
     assert(DataSkipping.filterToClause(StringContains("text", "delicious")) ===
       Some(Clause(SubstringMatch("text", "delicious"))))

@@ -29,27 +29,27 @@ class ParquetIOSpec extends AnyFunSuite with PropSupport {
       row("gamma", 99L, -2.25, true))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
-    assert(ParquetIO.readChunk(path, schema) === rows)
+    assert(readChunk(path, schema) === rows)
   }
 
   test("round-trips nulls in any column") {
     val rows = Vector(row(null, 1L, null, true), row("x", null, 2.0, null))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
-    assert(ParquetIO.readChunk(path, schema) === rows)
+    assert(readChunk(path, schema) === rows)
   }
 
   test("round-trips an empty chunk") {
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, Vector.empty)
-    assert(ParquetIO.readChunk(path, schema).isEmpty)
+    assert(readChunk(path, schema).isEmpty)
   }
 
   test("round-trips unicode and special characters in strings") {
     val rows = unicodeStrings.map(row(_, 0L, 0.0, true))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
-    val got = ParquetIO.readChunk(path, schema)
+    val got = readChunk(path, schema)
     assert(got.map(_.getUTF8String(0).toString) === unicodeStrings)
   }
 
@@ -67,7 +67,7 @@ class ParquetIOSpec extends AnyFunSuite with PropSupport {
     val rows = sampleRows ++ Vector.tabulate(2000)(i => row(if (i % 9 == 0) null else s"v${i % 3}", i.toLong, null, i % 2 == 0))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
-    val all  = ParquetIO.readChunk(path, schema)
+    val all  = readChunk(path, schema)
     val bits = Gen.oneOf(Gen.const(0.0), Gen.const(1.0), Gen.choose(0.0, 1.0), Gen.const(0.001))
       .flatMap(p => Gen.listOfN(rows.size, Gen.prob(p)))
     forAllSamples(bits, n = 30) { keep =>
@@ -90,7 +90,7 @@ class ParquetIOSpec extends AnyFunSuite with PropSupport {
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, sampleRows)
     val projected = new StructType().add("b", BooleanType).add("s", StringType)
-    val got = ParquetIO.readChunk(path, projected)
+    val got = readChunk(path, projected)
     assert(got.map(_.toSeq(projected)) === sampleRows.map(r => Seq(r.get(3, BooleanType), r.get(0, StringType))))
     val mask = BitVec.tabulate(sampleRows.size)(_ % 3 == 1)
     val none = new ParquetIO.ChunkRows(path, new StructType(), Some(mask))
@@ -126,7 +126,7 @@ class ParquetIOSpec extends AnyFunSuite with PropSupport {
     val before = Files.readAllBytes(Paths.get(path)).toSeq
     intercept[java.nio.file.FileAlreadyExistsException](ParquetIO.writeChunk(path, schema, sampleRows.take(1)))
     assert(Files.readAllBytes(Paths.get(path)).toSeq === before)
-    assert(ParquetIO.readChunk(path, schema).size === sampleRows.size)
+    assert(readChunk(path, schema).size === sampleRows.size)
   }
 
   test("opening a missing chunk file throws instead of yielding no rows") {
@@ -189,6 +189,12 @@ object ParquetIOSpec {
 
   def tmpFile(): String =
     Files.createTempDirectory("pio").resolve("c.parquet").toString
+
+  /** Every row of a chunk, read eagerly. */
+  def readChunk(path: String, schema: StructType): Vector[InternalRow] = {
+    val it = new ParquetIO.ChunkRows(path, schema)
+    try it.toVector finally it.close()
+  }
 }
 
 /** Chunks written by [[ParquetIO.writeChunk]] are standard Parquet: Spark's

@@ -7,6 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.client.ClientFilter
 import repro.core._
 import repro.workload.JsonDatasets
+import ParquetIOSpec.readChunk
 
 /** Partial data loading (paper §VI-A): only objects valid for ≥1 pushed
   * predicate become Parquet rows; the rest stay raw; sidecars are compacted
@@ -37,7 +38,7 @@ class PartialLoaderSpec extends AnyFunSuite {
     assert(stats.loadedRows > 0 && stats.loadedRows < stats.totalRows)
 
     val files = ChunkStore.listChunks(dir)
-    val parquetRows = files.flatMap(_.parquet).map(p => ParquetIO.readChunk(p, ds.schema).size).sum
+    val parquetRows = files.flatMap(_.parquet).map(p => readChunk(p, ds.schema).size).sum
     val rawRows     = files.flatMap(_.raw).map(p => ChunkStore.readRawLines(p).size).sum
     assert(parquetRows === stats.loadedRows)
     assert(parquetRows + rawRows === stats.totalRows)
@@ -49,7 +50,7 @@ class PartialLoaderSpec extends AnyFunSuite {
     ChunkStore.listChunks(dir).foreach { cf =>
       (cf.parquet, cf.bits) match {
         case (Some(pq), Some(bp)) =>
-          val rows    = ParquetIO.readChunk(pq, ds.schema)
+          val rows    = readChunk(pq, ds.schema)
           val sidecar = ChunkStore.readBits(bp)
           sidecar.values.foreach(bv => assert(bv.nBits === rows.size, "sidecar aligned to loaded rows"))
           // every loaded row has at least one set bit across predicates
@@ -96,7 +97,7 @@ class PartialLoaderSpec extends AnyFunSuite {
     assert(files.forall(_.raw.isEmpty))
     files.foreach { cf =>
       val sidecar = ChunkStore.readBits(cf.bits.get)
-      val rows    = ParquetIO.readChunk(cf.parquet.get, ds.schema)
+      val rows    = readChunk(cf.parquet.get, ds.schema)
       sidecar.values.foreach(bv => assert(bv.nBits === rows.size))
       assert(sidecar === bits(cf.id))
     }
